@@ -166,32 +166,10 @@ class ConfigFingerprint:
             {remap[c]: m for c, m in n.mults.items() if c in remap}
             for n in self.nodes
         ]
-        kept = _prune([n.parent for n in self.nodes], mults)
-        order: list[int] = []
-
-        def walk(i: int) -> None:
-            if kept[i]:
-                order.append(i)
-            for j in self.children(i):
-                walk(j)
-
-        for r in self.roots():
-            walk(r)
-        newid = {old: i for i, old in enumerate(order)}
-
-        def lifted_parent(old: int) -> Optional[int]:
-            p = self.nodes[old].parent
-            while p is not None and not kept[p]:
-                p = self.nodes[p].parent
-            return None if p is None else newid[p]
-
-        nodes = tuple(
-            PointNode(newid[old], lifted_parent(old), mults[old]) for old in order
-        )
         return ConfigFingerprint(
             tuple(self.degrees[c] for c in keep),
             tuple(self.labels[c] for c in keep),
-            nodes,
+            _prune([n.parent for n in self.nodes], mults),
         )
 
     def remove_component(self, c: int) -> "ConfigFingerprint":
@@ -223,26 +201,34 @@ class ConfigFingerprint:
         return f"degrees({degs}) points " + " ".join(pts)
 
 
-def _prune(parents: Sequence[Optional[int]], mults: Sequence[Dict[int, int]]) -> list[bool]:
-    """Which nodes still witness geometry: at least two curves, one
-    curve with multiplicity >= 2, or a surviving descendant."""
-    n = len(parents)
-    kids: list[list[int]] = [[] for _ in range(n)]
+def _prune(
+    parents: Sequence[Optional[int]], mults: Sequence[Dict[int, int]]
+) -> tuple[PointNode, ...]:
+    """The forest on the nodes that still witness geometry: at least two
+    curves, one curve with multiplicity >= 2, or a surviving descendant.
+    Kept nodes are renumbered in preorder and each parent is lifted to
+    its nearest kept ancestor."""
+    kids: list[list[int]] = [[] for _ in parents]
     for i, p in enumerate(parents):
         if p is not None:
             kids[p].append(i)
-    kept = [False] * n
 
-    def visit(i: int) -> bool:
-        sub = any([visit(j) for j in kids[i]])
+    def visit(i: int) -> list[int]:
+        # the kept nodes of the subtree at i, in preorder
+        below = [k for j in kids[i] for k in visit(j)]
         own = len(mults[i]) >= 2 or any(m >= 2 for m in mults[i].values())
-        kept[i] = sub or own
-        return kept[i]
+        return [i] + below if below or own else []
 
-    for i in range(n):
-        if parents[i] is None:
-            visit(i)
-    return kept
+    order = [k for i, p in enumerate(parents) if p is None for k in visit(i)]
+    newid = {old: i for i, old in enumerate(order)}
+
+    def lifted(old: int) -> Optional[int]:
+        p = parents[old]
+        while p is not None and p not in newid:
+            p = parents[p]
+        return None if p is None else newid[p]
+
+    return tuple(PointNode(newid[old], lifted(old), mults[old]) for old in order)
 
 
 # -- the trace ---------------------------------------------------------
@@ -335,48 +321,20 @@ def blow_down_trace(emb: Embedding) -> ConfigFingerprint:
             coeff[u].pop(k, None)
         remaining.discard(k)
         steps += 1
-    assert steps == emb.n_used
+    if steps != emb.n_used:
+        raise RuntimeError("blow-down took the wrong number of steps")
 
     survivors = sorted(active)
-    assert all(a0[v] > 0 and not coeff[v] for v in survivors)
+    if not all(a0[v] > 0 and not coeff[v] for v in survivors):
+        raise RuntimeError("blow-down left an exceptional class behind")
     remap = {v: i for i, v in enumerate(survivors)}
     final_mults = [
         {remap[u]: m for u, m in node.items() if u in remap} for node in mults
     ]
-    kept = _prune(parents, final_mults)
-
-    kids: list[list[int]] = [[] for _ in parents]
-    tops: list[int] = []
-    for i, p in enumerate(parents):
-        if p is None:
-            tops.append(i)
-        else:
-            kids[p].append(i)
-    order: list[int] = []
-
-    def walk(i: int) -> None:
-        if kept[i]:
-            order.append(i)
-        for j in kids[i]:
-            walk(j)
-
-    for i in tops:
-        walk(i)
-    newid = {old: i for i, old in enumerate(order)}
-
-    def lifted(old: int) -> Optional[int]:
-        p = parents[old]
-        while p is not None and not kept[p]:
-            p = parents[p]
-        return None if p is None else newid[p]
-
-    nodes = tuple(
-        PointNode(newid[old], lifted(old), final_mults[old]) for old in order
-    )
     return ConfigFingerprint(
         tuple(a0[v] for v in survivors),
         tuple(g.labels[v] for v in survivors),
-        nodes,
+        _prune(parents, final_mults),
     )
 
 
@@ -710,7 +668,8 @@ def catalog_lookup(f: ConfigFingerprint) -> CatalogEntry:
             return hit
     hits = [m(f) for m in _UNIQUE_MATCHERS]
     hits = [h for h in hits if h is not None]
-    assert len(hits) <= 1, "catalog patterns overlap"
+    if len(hits) > 1:
+        raise RuntimeError("catalog patterns overlap")
     if hits:
         return hits[0]
     L = _peelable_line(f)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Optional
+from typing import Optional
 
 Rational = Fraction
 CFString = tuple[int, ...]
@@ -70,16 +70,13 @@ def cf_expand(p: int, q: int) -> CFString:
 def cf_dual(seq: CFString) -> CFString:
     """Riemenschneider dual: the expansion of p/(p-q) when seq expands p/q.
 
-    Only defined for strings with all entries >= 2 (so the value p/q > 1).
+    Only defined for nonempty strings with all entries >= 2, whose value
+    p/q is finite and exceeds 1, so p > p - q >= 1 as cf_expand needs.
     """
-    if any(m < 2 for m in seq):
-        raise ValueError("dual is defined for entries >= 2 only")
+    if not seq or any(m < 2 for m in seq):
+        raise ValueError("dual is defined for nonempty strings of entries >= 2")
     v = cf_eval(seq)
-    assert v is not None and v > 1
     p, q = v.numerator, v.denominator
-    if p - q == 0:
-        # seq == () never reaches here; p/q > 1 strictly so p - q >= 1
-        raise ValueError("value must exceed 1")
     return cf_expand(p, p - q)
 
 
@@ -169,24 +166,3 @@ def fib(n: int) -> int:
     for _ in range(n):
         a, b = b, a + b
     return a
-
-
-def mod_inverse(a: int, p: int) -> int:
-    return pow(a, -1, p)
-
-
-def iter_strings_below(n: CFString) -> Iterator[CFString]:
-    """Lexicographic iterator over all 1 <= m_i <= n_i (test helper)."""
-    ell = len(n)
-    m = [1] * ell
-    if ell == 0:
-        return
-    while True:
-        yield tuple(m)
-        i = ell - 1
-        while i >= 0 and m[i] == n[i]:
-            m[i] = 1
-            i -= 1
-        if i < 0:
-            return
-        m[i] += 1

@@ -5,8 +5,8 @@ provenance tags collected from catalog hits, tool version) and prints a
 short text summary by default, the full report with --json, or DOT
 source with --dot where a graph is involved.  Exit status 0 means the
 run finished without negative findings, 2 flags an obstructed or
-unrealizable answer so shell pipelines can branch on it, and 1 is a
-usage error.
+unrealizable answer so shell pipelines can branch on it, 1 is a usage
+error, and 3 an internal error (a broken invariant of the engine).
 """
 
 from __future__ import annotations
@@ -22,7 +22,13 @@ from typing import Optional, Sequence
 from . import __version__
 from .blowdown import OBSTRUCTED, blow_down_trace, catalog_lookup
 from .cf import fib
-from .cusp import CuspCombo, CuspType, ms_recognize, unicuspidal_families
+from .cusp import (
+    CuspCombo,
+    CuspType,
+    fibonacci_index,
+    ms_recognize,
+    unicuspidal_families,
+)
 from .lattice import (
     Embedding,
     HClass,
@@ -40,6 +46,7 @@ from .plumbing import (
     build_cap,
     cap_for_combo,
     curve_resolution,
+    named_cap,
 )
 
 
@@ -314,30 +321,9 @@ def cmd_lens(args) -> tuple[dict, list[str], Optional[str], int]:
     return _report("lens", inputs, results), lines, None, 0
 
 
-def _fibonacci_index(cusp: CuspType, degree: int) -> Optional[int]:
-    j = 5
-    while fib(j) <= degree:
-        if (cusp.p, cusp.q) == (fib(j - 2), fib(j + 2)) and degree == fib(j):
-            return j
-        j += 2
-    return None
-
-
-def _named_family(cusp: CuspType, degree: int) -> Optional[CapRecipe]:
-    if (cusp.p, cusp.q) == (degree - 1, degree):
-        return CapRecipe("A_p", p=degree - 1)
-    if degree == 2 * cusp.p and cusp.q == 4 * cusp.p - 1:
-        return CapRecipe("B_p", p=cusp.p)
-    if (degree, cusp.p, cusp.q) == (8, 3, 22):
-        return CapRecipe("E3")
-    if (degree, cusp.p, cusp.q) == (16, 6, 43):
-        return CapRecipe("E6")
-    return None
-
-
 def _unicuspidal_entry(cusp: CuspType, degree: int) -> dict:
     combo = CuspCombo(degree, (cusp,))
-    recipe = _named_family(cusp, degree) or cap_for_combo(combo)
+    recipe = named_cap(cusp, degree) or cap_for_combo(combo)
     entry: dict = {"cusp": [cusp.p, cusp.q], "degree": degree}
     if recipe is None:
         entry["family"] = None
@@ -361,8 +347,8 @@ def _unicuspidal_entry(cusp: CuspType, degree: int) -> dict:
                         "square": cls.square,
                     }
                     break
-    j = _fibonacci_index(cusp, degree)
-    if j is not None:
+    j = fibonacci_index(degree)
+    if j is not None and (cusp.p, cusp.q) == (fib(j - 2), fib(j + 2)):
         L = fibonacci_boundary(j)
         ball = rational_ball_string(L)
         wahl = wahl_family(L)
@@ -488,6 +474,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"atlas: error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        print(f"atlas: internal error: {exc}", file=sys.stderr)
+        return 3
     if args.json:
         if dot is not None and args.dot:
             report["results"]["dot"] = dot

@@ -2,9 +2,9 @@
 
 A cusp of type (p, q) (2 <= p < q, coprime) is the singularity of
 x^p = y^q.  The classification machinery needs its multiplicity
-sequence, delta invariant, semigroup counting function, and the two
-arithmetic gates (semigroup condition, Riemann-Hurwitz) on collections
-of cusps sharing a plane curve of given degree.
+sequence, delta invariant, semigroup counting function, and the
+semigroup condition on collections of cusps sharing a plane curve of
+given degree (the Riemann-Hurwitz gate lives in the obstruct module).
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 from typing import Optional
+
+from .cf import fib
 
 MultSeq = tuple[int, ...]
 
@@ -98,13 +100,6 @@ def ms_recognize(seq: MultSeq) -> Optional[CuspType]:
     return CuspType(p, q)
 
 
-def semigroup_R(cusp: CuspType, n: int) -> int:
-    """Count of semigroup elements of <p,q> in [0, n)."""
-    if n <= 0:
-        return 0
-    return cusp.semigroup_counts(n)[n]
-
-
 @dataclass(frozen=True)
 class CuspCombo:
     """A collection of cusps on a rational plane curve of degree d.
@@ -169,33 +164,6 @@ def semigroup_condition(combo: CuspCombo) -> Optional[int]:
     return None
 
 
-def riemann_hurwitz(combo: CuspCombo) -> Optional[CuspType]:
-    """Pencil-projection count.  For the pencil through a cusp p with
-    multiplicity sequence starting [m_p, m_p2]:
-
-        2d - 2 m_p >= 2 + sum_{q != p} (m_q - 1) + (m_p2 - 1)
-
-    and for a generic pencil point off the curve:
-
-        2d - 2 >= sum_q (m_q - 1).
-
-    Returns a cusp witnessing a violation (or the first cusp for the
-    off-curve bound), None when every inequality holds.
-    """
-    d = combo.degree
-    firsts = [c.mult_seq()[0] for c in combo.cusps]
-    if 2 * d - 2 < sum(m - 1 for m in firsts):
-        return combo.cusps[0]
-    for i, c in enumerate(combo.cusps):
-        ms = c.mult_seq()
-        m_p = ms[0]
-        m_p2 = ms[1] if len(ms) > 1 else 1
-        others = sum(m - 1 for j, m in enumerate(firsts) if j != i)
-        if 2 * d - 2 * m_p < 2 + others + (m_p2 - 1):
-            return c
-    return None
-
-
 def cusp_types_with_delta(delta: int) -> list[CuspType]:
     """All one-Puiseux-pair types with (p-1)(q-1) = 2*delta, sorted."""
     out = []
@@ -234,13 +202,21 @@ def enumerate_combos(degree: int) -> list[CuspCombo]:
     return combos
 
 
+def fibonacci_index(degree: int) -> Optional[int]:
+    """The odd j >= 5 with F_j = degree, whose Fibonacci cusp
+    (F_{j-2}, F_{j+2}) is unicuspidal at this degree; None if there is
+    none."""
+    j = 5
+    while fib(j) < degree:
+        j += 2
+    return j if fib(j) == degree else None
+
+
 def unicuspidal_families(degree: int) -> list[CuspType]:
     """Members of the known unicuspidal families at this degree:
     (d-1, d); (d/2, 2d-1) for even d; the sporadic (3,22) at 8 and
     (6,43) at 16; the Fibonacci cusps (F_{j-2}, F_{j+2}) at F_j and
     (F_j^2, F_{j+2}^2) at F_j F_{j+2}, odd j."""
-    from .cf import fib
-
     found = set()
     if degree >= 3:
         found.add(CuspType(degree - 1, degree))
@@ -250,11 +226,9 @@ def unicuspidal_families(degree: int) -> list[CuspType]:
         found.add(CuspType(3, 22))
     if degree == 16:
         found.add(CuspType(6, 43))
-    j = 5
-    while fib(j) <= degree:
-        if fib(j) == degree:
-            found.add(CuspType(fib(j - 2), fib(j + 2)))
-        j += 2
+    j = fibonacci_index(degree)
+    if j is not None:
+        found.add(CuspType(fib(j - 2), fib(j + 2)))
     j = 3
     while fib(j) * fib(j + 2) <= degree:
         if fib(j) * fib(j + 2) == degree:

@@ -10,13 +10,12 @@ classes vertex by vertex in breadth-first order from the root (which is
 always sent to h), breaks the permutation symmetry of exceptional
 indices by orbit prefixes, and discards partial assignments that no
 positive area form supports.  Results are relabelled canonically and
-sorted, so repeated runs and different thread counts agree bit for bit.
+sorted, so repeated runs agree bit for bit.
 """
 
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -210,7 +209,7 @@ def _phase1_feasible(cons: Sequence[tuple[Sequence[int], int]], nvars: int) -> b
                 ):
                     best, leave = ratio, i
         if leave < 0:
-            raise AssertionError("phase-one objective cannot be unbounded")
+            raise RuntimeError("phase-one objective cannot be unbounded")
         piv = tableau[leave][enter]
         tableau[leave] = [v / piv for v in tableau[leave]]
         for i in range(m):
@@ -534,15 +533,15 @@ class _Search:
         sink.setdefault(key, emb)
 
 
-def enumerate_embeddings(g: PlumbingGraph, threads: int = 1) -> tuple[Embedding, ...]:
+def enumerate_embeddings(g: PlumbingGraph) -> tuple[Embedding, ...]:
     """All class assignments for the rooted graph, canonical and sorted.
 
     The root maps to h, which forces every other vertex's h-degree to be
     its pairing with the root; adjunction then leaves finitely many
     coefficient profiles per vertex.  Partial assignments are pruned by
     the required pairings and by exact area feasibility of the
-    degree-zero classes seen so far.  Output order and labelling do not
-    depend on the thread count.
+    degree-zero classes seen so far.  Output order and labelling are the
+    same on every run.
     """
     search = _Search(g)
     if any(not p for p in search.profiles):
@@ -551,24 +550,8 @@ def enumerate_embeddings(g: PlumbingGraph, threads: int = 1) -> tuple[Embedding,
     seed: list[tuple[int, dict[int, int]]] = [(1, {})]
     if g.n == 1:
         search.emit(seed, 0, found)
-    elif threads <= 1:
-        search.dfs(1, seed, [], 0, found)
     else:
-        first = list(search.candidates(1, seed, [], 0))
-
-        def branch(cand: tuple[int, dict[int, int], int]) -> dict:
-            a0, co, n_used = cand
-            local: dict = {}
-            zero_rows = [co] if a0 == 0 else []
-            search.dfs(2, [(1, {}), (a0, co)], zero_rows, n_used, local)
-            return local
-
-        if first:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for local in pool.map(branch, first):
-                    for key, emb in local.items():
-                        found.setdefault(key, emb)
-
+        search.dfs(1, seed, [], 0, found)
     embeddings = tuple(found[key] for key in sorted(found))
     for emb in embeddings:
         _assert_positive_scan(emb)
@@ -583,7 +566,8 @@ def _assert_positive_scan(emb: Embedding) -> None:
     for c in emb.classes:
         for i, v in c.coeffs:
             if v == 1:
-                assert i not in seen, f"index {i} is positive twice"
+                if i in seen:
+                    raise RuntimeError(f"index {i} is positive twice")
                 seen.add(i)
 
 
@@ -617,21 +601,21 @@ def ambient_form(emb: Embedding) -> GramForm:
     return _orthogonal_form(emb, drop_root=True)
 
 
-def ambient(emb: Embedding, blowups: Optional[int] = None) -> str:
+def ambient(emb: Embedding) -> str:
     """Name the closed manifold carrying the root curve after blowing down.
 
-    With the graph built by successive blow-ups, k = n_used - blowups
-    counts the exceptional directions the embedding does not consume:
-    k = 0 is the plane; an even rank-two residual form is the sphere
-    product; otherwise a k-fold blow-up of the plane.
+    With the graph built by successive blow-ups, k = emb.k counts the
+    exceptional directions the embedding does not consume: k = 0 is the
+    plane; an even rank-two residual form is the sphere product;
+    otherwise a k-fold blow-up of the plane.
     """
-    b = (emb.graph.n - 1) if blowups is None else blowups
-    k = emb.n_used - b
+    k = emb.k
     if k < 0:
         raise ValueError("more blow-ups than exceptional indices in use")
     if k == 0:
         return "CP2"
     if ambient_form(emb).parity == "even":
-        assert k == 1, "even residual forms only arise with one spare index"
+        if k != 1:
+            raise RuntimeError("even residual form with more than one spare index")
         return "S2xS2"
     return f"CP2#{k}"

@@ -26,7 +26,6 @@ from .cf import (
     excess,
     fib,
     is_zero_string,
-    mod_inverse,
 )
 
 
@@ -43,7 +42,7 @@ class LensSpace:
 
     @property
     def q_inv(self) -> int:
-        return mod_inverse(self.q, self.p)
+        return pow(self.q, -1, self.p)
 
     def canonical(self) -> "LensSpace":
         """The representative with the smaller of q and its inverse."""
@@ -98,14 +97,18 @@ def rational_ball_string(L: LensSpace) -> Optional[CFString]:
     family; the lowered entry always sits on a 2 in the bounds."""
     ones = excess_one_strings(L)
     if not ones:
-        assert wahl_family(L) is None, "Wahl space missing its ball string"
+        if wahl_family(L) is not None:
+            raise RuntimeError("Wahl space missing its ball string")
         return None
-    assert wahl_family(L) is not None, "ball string off the Wahl family"
-    assert len(ones) == 1, "rational-ball string is unique"
+    if wahl_family(L) is None:
+        raise RuntimeError("ball string off the Wahl family")
+    if len(ones) != 1:
+        raise RuntimeError("rational-ball string is not unique")
     (m,) = ones
     n = bounds(L)
     (j,) = [i for i in range(len(n)) if n[i] != m[i]]
-    assert n[j] == 2, "the lowered entry sits on a 2"
+    if n[j] != 2:
+        raise RuntimeError("the lowered entry does not sit on a 2")
     return m
 
 
@@ -117,10 +120,10 @@ def fibonacci_boundary(j: int) -> LensSpace:
     return LensSpace(fib(j) ** 2, fib(j - 2) ** 2)
 
 
-def to_dict(L: LensSpace, string_limit: int = 1 << 20) -> dict:
+def to_dict(L: LensSpace) -> dict:
     """CLI-facing report: strings, excesses, ball data, Wahl shape.
     Skips the full string listing when the bounded product space
-    exceeds string_limit candidates."""
+    exceeds 2^20 candidates."""
     ball = rational_ball_string(L)
     wahl = wahl_family(L)
     n = bounds(L)
@@ -135,7 +138,7 @@ def to_dict(L: LensSpace, string_limit: int = 1 << 20) -> dict:
         "rational_ball": None if ball is None else list(ball),
         "wahl": None if wahl is None else list(wahl),
     }
-    if space <= string_limit:
+    if space <= 1 << 20:
         out["strings"] = [
             {"string": list(m), "excess": chi} for m, chi in filling_strings(L)
         ]

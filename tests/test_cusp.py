@@ -10,13 +10,13 @@ from cuspatlas.cusp import (
     combo_R,
     cusp_types_with_delta,
     enumerate_combos,
+    fibonacci_index,
     mult_seq,
     ms_recognize,
-    riemann_hurwitz,
-    semigroup_R,
     semigroup_condition,
     unicuspidal_families,
 )
+from cuspatlas.obstruct import riemann_hurwitz_verdict
 
 cusp_pairs = st.integers(2, 12).flatmap(
     lambda p: st.tuples(
@@ -91,17 +91,18 @@ def test_delta_milnor():
 
 
 def test_semigroup_R_frozen():
-    assert semigroup_R(CuspType(4, 5), 6) == 3  # {0, 4, 5}
-    assert semigroup_R(CuspType(3, 7), 6) == 2  # {0, 3}
-    assert semigroup_R(CuspType(2, 3), 1) == 1
-    assert semigroup_R(CuspType(2, 3), 0) == 0
-    assert semigroup_R(CuspType(2, 3), -3) == 0
+    assert CuspType(4, 5).semigroup_counts(6)[6] == 3  # {0, 4, 5}
+    assert CuspType(3, 7).semigroup_counts(6)[6] == 2  # {0, 3}
+    assert CuspType(2, 3).semigroup_counts(1)[1] == 1
+    assert CuspType(2, 3).semigroup_counts(0)[0] == 0
+    # the min-convolution is zero on nonpositive arguments
+    assert combo_R(CuspCombo(3, (CuspType(2, 3),)), -3) == 0
 
 
 @given(cusp_pairs, st.integers(0, 120))
 def test_semigroup_R_against_oracle(pq, n):
     p, q = pq
-    assert semigroup_R(CuspType(p, q), n) == len(semigroup_oracle(p, q, n))
+    assert CuspType(p, q).semigroup_counts(n)[n] == len(semigroup_oracle(p, q, n))
 
 
 @given(cusp_pairs)
@@ -110,7 +111,7 @@ def test_semigroup_R_stabilizes_past_conductor(pq):
     c = CuspType(p, q)
     # beyond the conductor 2*delta every integer is in the semigroup
     for n in (2 * c.delta, 2 * c.delta + 1, 2 * c.delta + 17):
-        assert semigroup_R(c, n) == n - c.delta
+        assert c.semigroup_counts(n)[n] == n - c.delta
 
 
 def test_combo_validation():
@@ -124,7 +125,7 @@ def test_combo_validation():
 def test_combo_R_single_matches_semigroup_R():
     combo = CuspCombo(5, (CuspType(4, 5),))
     for n in range(0, 17):
-        assert combo_R(combo, n) == semigroup_R(CuspType(4, 5), n)
+        assert combo_R(combo, n) == CuspType(4, 5).semigroup_counts(n)[n]
 
 
 def test_semigroup_condition_frozen():
@@ -153,7 +154,7 @@ def test_riemann_hurwitz_exact_failures_degree5():
     failing = {
         tuple(c.cusps)
         for c in enumerate_combos(5)
-        if riemann_hurwitz(c) is not None
+        if riemann_hurwitz_verdict(c).failed
     }
     assert failing == {
         (CuspType(2, 3),) * 6,
@@ -166,7 +167,7 @@ def test_riemann_hurwitz_exact_failures_degree5():
 def test_riemann_hurwitz_passes_low_degrees():
     for d in (3, 4):
         for combo in enumerate_combos(d):
-            assert riemann_hurwitz(combo) is None
+            assert not riemann_hurwitz_verdict(combo).failed
 
 
 def test_enumerate_combos_counts():
@@ -196,3 +197,4 @@ def test_unicuspidal_families_frozen():
     ]
     assert CuspType(6, 43) in unicuspidal_families(16)
     assert CuspType(5, 34) in unicuspidal_families(13)  # Fibonacci member
+    assert [fibonacci_index(d) for d in (4, 5, 13, 34)] == [None, 5, 7, 9]

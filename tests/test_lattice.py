@@ -1,11 +1,13 @@
 """Class assignments for cap plumbings: profiles, the search, residual forms."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspatlas.cusp import CuspCombo, CuspType, enumerate_combos
-from cuspatlas.cusp import riemann_hurwitz, semigroup_condition
+from cuspatlas.blowdown import blow_down_trace, catalog_lookup
+from cuspatlas.cusp import CuspCombo, CuspType, enumerate_combos, semigroup_condition
 from cuspatlas.lattice import (
     Embedding,
     HClass,
@@ -18,6 +20,7 @@ from cuspatlas.lattice import (
     enumerate_embeddings,
     parse_class,
 )
+from cuspatlas.obstruct import riemann_hurwitz_verdict
 from cuspatlas.plumbing import CapRecipe, PlumbingGraph, build_cap, cap_for_combo
 
 
@@ -240,7 +243,7 @@ def test_quintic_cap_embedding_census():
     for combo in enumerate_combos(5):
         if semigroup_condition(combo) is not None:
             continue
-        if riemann_hurwitz(combo) is not None:
+        if riemann_hurwitz_verdict(combo).failed:
             continue
         g = build_cap(cap_for_combo(combo))
         embs = enumerate_embeddings(g)
@@ -296,13 +299,51 @@ def test_neutral_chain_vertices_carry_difference_classes():
                     assert values == [-1, 1]
 
 
-def test_enumeration_is_deterministic_and_thread_invariant():
+def test_enumeration_is_deterministic():
     for kind, p in (("B_p", 2), ("E3", None)):
         g = cap(kind, p)
-        once = enumerate_embeddings(g)
-        again = enumerate_embeddings(g)
-        threaded = enumerate_embeddings(g, threads=3)
-        assert once == again == threaded
+        assert enumerate_embeddings(g) == enumerate_embeddings(g)
+
+
+def _permuted(g, perm):
+    """The same configuration with vertex v renamed perm[v]."""
+    old = sorted(range(g.n), key=perm.__getitem__)
+    edges = [(*sorted((perm[u], perm[v])), o) for u, v, o in g.edges]
+    corners = [tuple(sorted(perm[x] for x in tri)) for tri in g.corners]
+    return PlumbingGraph(
+        tuple(g.eulers[v] for v in old),
+        tuple(g.labels[v] for v in old),
+        tuple(sorted(edges)),
+        tuple(sorted(corners)),
+        perm[g.root],
+    )
+
+
+def _embedding_invariants(g):
+    out = []
+    for e in enumerate_embeddings(g):
+        form = complement_form(e)
+        image = blow_down_trace(e)
+        status = catalog_lookup(image).status
+        out.append((e.k, form.det, form.parity, status, tuple(sorted(image.degrees))))
+    return sorted(out)
+
+
+def test_vertex_order_does_not_change_embeddings_or_verdicts():
+    rng = random.Random(1907)
+    graphs = (
+        cap("E3"),
+        cap("B_p", 2),
+        combo_cap(5, (2, 3), (2, 5), (3, 4)),
+        combo_cap(5, (2, 7), (3, 4)),
+    )
+    for g in graphs:
+        want = _embedding_invariants(g)
+        assert want
+        for _ in range(4):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert _embedding_invariants(_permuted(g, perm)) == want
 
 
 def test_embedding_validation_catches_broken_assignments():
@@ -326,12 +367,16 @@ def test_dependent_classes_raise_rank_error():
         complement_form(e)
 
 
-def test_ambient_respects_explicit_blowup_count():
+def test_ambient_rejects_more_blowups_than_indices():
     (e,) = enumerate_embeddings(cap("A_p", p=2))
     assert ambient(e) == "CP2"
-    assert ambient(e, blowups=3) == "CP2#2"
+    # two fibres on one exceptional index: k = 1 - 2 < 0
+    g = PlumbingGraph(
+        (1, 0, 0), ("C", "F1", "F2"), ((0, 1, 1), (0, 2, 1)), (), root=0
+    )
+    fiber = parse_class("h-e0")
     with pytest.raises(ValueError):
-        ambient(e, blowups=e.n_used + 1)
+        ambient(Embedding(g, (HClass(1), fiber, fiber), 1))
 
 
 def test_embeddings_search_needs_a_rooted_plus_one():
