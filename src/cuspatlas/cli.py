@@ -39,7 +39,7 @@ from .lattice import (
 from .lens import LensSpace, fibonacci_boundary, rational_ball_string
 from .lens import to_dict as lens_report
 from .lens import wahl_family
-from .obstruct import classify_degree
+from .obstruct import arithmetic_verdicts, classify_degree
 from .plumbing import (
     CapRecipe,
     PlumbingGraph,
@@ -77,8 +77,11 @@ def _parse_combo(text: str) -> CuspCombo:
     return CuspCombo(d, cusps)
 
 
-def _parse_cap(spec: Sequence[str]) -> CapRecipe:
-    """Read a cap spec: "A 3", "B 2", "E3", "E6", or a cusp combination."""
+def _parse_cap(spec: Sequence[str]) -> tuple[CapRecipe, Optional[CuspCombo]]:
+    """Read a cap spec: "A 3", "B 2", "E3", "E6", or a cusp combination.
+
+    Returns the recipe, and the combination when the spec is one.
+    """
     if not spec:
         raise UsageError("cap spec missing")
     head = spec[0]
@@ -89,18 +92,18 @@ def _parse_cap(spec: Sequence[str]) -> CapRecipe:
             p = int(spec[1])
         except ValueError:
             raise UsageError(f"family parameter must be an integer: {spec[1]!r}")
-        return CapRecipe(head + "_p", p=p)
+        return CapRecipe(head + "_p", p=p), None
     if head in ("E3", "E6"):
         if len(spec) != 1:
             raise UsageError(f"family {head} takes no parameter")
-        return CapRecipe(head)
+        return CapRecipe(head), None
     if len(spec) != 1:
         raise UsageError(f"cannot read cap spec {' '.join(spec)!r}")
     combo = _parse_combo(head)
     recipe = cap_for_combo(combo)
     if recipe is None:
         raise UsageError(f"no stock cap recipe for {combo}")
-    return recipe
+    return recipe, combo
 
 
 def _parse_family(text: str) -> CapRecipe:
@@ -148,6 +151,20 @@ def _cap_dict(recipe: CapRecipe) -> dict:
         "combo": str(recipe.resolved_combo()),
         "modes": list(recipe.cusp_modes()),
     }
+
+
+def _gate_failures(combo: Optional[CuspCombo], results: dict, lines: list[str]) -> bool:
+    """Run the arithmetic gates of classify on a combination spec.
+
+    The failed rules go into the results and the text; True if any
+    failed.  Named families (no combination) are left as they are.
+    """
+    if combo is None:
+        return False
+    failed = [v for v in arithmetic_verdicts(combo) if v.failed]
+    results["failed_rules"] = [v.to_dict() for v in failed]
+    lines.extend(f"  {v.rule} fails: {v.details}" for v in failed)
+    return bool(failed)
 
 
 def _sphere_class(emb: Embedding) -> Optional[HClass]:
@@ -221,7 +238,7 @@ def cmd_resolve(args) -> tuple[dict, list[str], Optional[str], int]:
 
 
 def cmd_cap(args) -> tuple[dict, list[str], Optional[str], int]:
-    recipe = _parse_cap(args.spec)
+    recipe, combo = _parse_cap(args.spec)
     g = build_cap(recipe)
     inputs = {"spec": list(args.spec)}
     results = {"cap": _cap_dict(recipe), "graph": _graph_dict(g)}
@@ -230,11 +247,12 @@ def cmd_cap(args) -> tuple[dict, list[str], Optional[str], int]:
         f"  {g.n} curves, root weight {g.eulers[g.root]}, det {g.det()}",
         f"  eulers {list(g.eulers)}",
     ]
-    return _report("cap", inputs, results), lines, g.to_dot(), 0
+    code = 2 if _gate_failures(combo, results, lines) else 0
+    return _report("cap", inputs, results), lines, g.to_dot(), code
 
 
 def cmd_embed(args) -> tuple[dict, list[str], Optional[str], int]:
-    recipe = _parse_cap(args.spec)
+    recipe, combo = _parse_cap(args.spec)
     g = build_cap(recipe)
     embs = enumerate_embeddings(g)
     inputs = {"spec": list(args.spec)}
@@ -250,11 +268,12 @@ def cmd_embed(args) -> tuple[dict, list[str], Optional[str], int]:
             f"  k={e.k} ambient {ambient(e)}, complement rank {form.rank} "
             f"det {form.det} ({form.parity})"
         )
-    return _report("embed", inputs, results), lines, None, 0 if embs else 2
+    code = 2 if _gate_failures(combo, results, lines) or not embs else 0
+    return _report("embed", inputs, results), lines, None, code
 
 
 def cmd_blowdown(args) -> tuple[dict, list[str], Optional[str], int]:
-    recipe = _parse_cap(args.spec)
+    recipe, combo = _parse_cap(args.spec)
     g = build_cap(recipe)
     embs = enumerate_embeddings(g)
     entries = []
@@ -279,7 +298,8 @@ def cmd_blowdown(args) -> tuple[dict, list[str], Optional[str], int]:
     results = {"cap": _cap_dict(recipe), "count": len(embs), "entries": entries}
     dead = not embs or all(e["catalog"]["status"] == OBSTRUCTED for e in entries)
     lines.insert(0, f"cap {recipe.kind}: {len(embs)} embeddings")
-    return _report("blowdown", inputs, results, tags), lines, None, 2 if dead else 0
+    code = 2 if _gate_failures(combo, results, lines) or dead else 0
+    return _report("blowdown", inputs, results, tags), lines, None, code
 
 
 def cmd_classify(args) -> tuple[dict, list[str], Optional[str], int]:

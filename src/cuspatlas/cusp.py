@@ -180,6 +180,9 @@ def cusp_types_with_delta(delta: int) -> list[CuspType]:
 def enumerate_combos(degree: int) -> list[CuspCombo]:
     """Every genus-balanced multiset of cusps at the given degree,
     deterministic order (sorted by the cusp tuple)."""
+    if degree < 3:
+        # checked up front: degree d < 0 has the genus of degree 3 - d
+        raise ValueError(f"degree >= 3, got {degree}")
     genus = (degree - 1) * (degree - 2) // 2
     by_delta = {k: cusp_types_with_delta(k) for k in range(1, genus + 1)}
     results: list[tuple[CuspType, ...]] = []

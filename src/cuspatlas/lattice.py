@@ -7,10 +7,14 @@ lattice <h, e_0, e_1, ...> with h.h = +1 and e_i.e_i = -1.  A sphere of
 self-intersection s must satisfy the adjunction equality, which leaves
 only finitely many coefficient multisets (profiles); the search assigns
 classes vertex by vertex in breadth-first order from the root (which is
-always sent to h), breaks the permutation symmetry of exceptional
-indices by orbit prefixes, and discards partial assignments that no
-positive area form supports.  Results are relabelled canonically and
-sorted, so repeated runs agree bit for bit.
+always sent to h) and breaks the permutation symmetry of exceptional
+indices by orbit prefixes.  It generates only classes with the required
+pairings against the classes already placed, cutting a branch once the
+coefficients left to place cannot reach them, and drops partial
+assignments that no positive area form supports: for the degree-zero
+classes that is exactly a cycle in their dominance graph, so no linear
+program runs.  Results are relabelled canonically and sorted, so
+repeated runs agree bit for bit.
 """
 
 from __future__ import annotations
@@ -223,19 +227,6 @@ def _phase1_feasible(cons: Sequence[tuple[Sequence[int], int]], nvars: int) -> b
     )
 
 
-def _all_positive_feasible(rows: Sequence[Sequence[int]], nvars: int) -> bool:
-    # exists x with every x_j > 0 and row.x > 0?  Scale-invariant, so ask
-    # for x_j >= 1 and row.x >= 1 instead and substitute x = y + 1.
-    cons = []
-    for row in rows:
-        rhs = 1 - sum(row)
-        if rhs > 0:
-            cons.append((row, rhs))
-    if not cons:
-        return True
-    return _phase1_feasible(cons, nvars)
-
-
 def area_feasible(classes: Iterable[HClass]) -> bool:
     """Can a symplectic form give h and every e_i and every class positive area?
 
@@ -245,14 +236,18 @@ def area_feasible(classes: Iterable[HClass]) -> bool:
     cl = list(classes)
     idx = sorted({i for c in cl for i, _ in c.coeffs})
     slot = {i: j + 1 for j, i in enumerate(idx)}
-    rows = []
+    # exists x with every x_j > 0 and row.x > 0?  Scale-invariant, so ask
+    # for x_j >= 1 and row.x >= 1 instead and substitute x = y + 1.
+    cons = []
     for c in cl:
         row = [0] * (1 + len(idx))
         row[0] = c.a0
         for i, v in c.coeffs:
             row[slot[i]] = v
-        rows.append(row)
-    return _all_positive_feasible(rows, 1 + len(idx))
+        rhs = 1 - sum(row)
+        if rhs > 0:
+            cons.append((row, rhs))
+    return not cons or _phase1_feasible(cons, 1 + len(idx))
 
 
 @dataclass(frozen=True)
@@ -352,14 +347,18 @@ def _bfs_order(g: PlumbingGraph) -> list[int]:
     return order
 
 
-def _orbits(cos: Sequence[Mapping[int, int]], n_used: int) -> list[list[int]]:
-    # indices with the same coefficient history are interchangeable; the
-    # search only ever takes a prefix of each orbit
+def _orbits(
+    cos: Sequence[Mapping[int, int]], n_used: int
+) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+    # indices with the same coefficient column over the assigned classes
+    # are interchangeable; the search only ever takes a prefix of each
+    # orbit.  Returns the orbits and their columns, in the same order.
     groups: dict[tuple[int, ...], list[int]] = {}
     for i in range(n_used):
         col = tuple(c.get(i, 0) for c in cos)
         groups.setdefault(col, []).append(i)
-    return sorted(groups.values(), key=lambda o: o[0])
+    ordered = sorted(groups.items(), key=lambda item: item[1][0])
+    return [members for _, members in ordered], [col for col, _ in ordered]
 
 
 def _grouped(profile: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -373,25 +372,78 @@ def _grouped(profile: tuple[int, ...]) -> list[tuple[int, int]]:
 
 
 def _distributions(
-    groups: Sequence[tuple[int, int]], orbits: Sequence[Sequence[int]], fresh_start: int
+    groups: Sequence[tuple[int, int]],
+    orbits: Sequence[Sequence[int]],
+    cols: Sequence[Sequence[int]],
+    targets: Sequence[int],
+    fresh_start: int,
 ) -> Iterator[tuple[list[tuple[int, int]], int]]:
-    """Assign each profile value a distinct index, up to index symmetry.
+    """Assign each profile value a distinct index, up to index symmetry,
+    so that the new class pairs as required with every earlier class.
 
     Values are placed into prefixes of the interchangeability orbits or
     onto consecutive fresh indices; yields (index, value) lists together
-    with the new fresh-index watermark.
+    with the new fresh-index watermark.  Every member of orbit o carries
+    coefficient cols[o][u] in earlier class u and fresh indices carry
+    none, so the e-part of the pairing with class u is linear in the
+    units of each value placed in each orbit and must reach targets[u].
+    A branch is cut as soon as some target lies outside the range the
+    units still to be placed can add; a leaf must hit every target.
     """
-    taken = [0] * len(orbits)
+    nu, no = len(targets), len(orbits)
+    # lo[o][u], hi[o][u]: extreme coefficient of class u over the orbits
+    # from o on, and 0 for the fresh indices
+    lo = [[0] * nu]
+    hi = [[0] * nu]
+    for col in reversed(cols):
+        lo.append([min(a, c) for a, c in zip(lo[-1], col)])
+        hi.append([max(a, c) for a, c in zip(hi[-1], col)])
+    lo.reverse()
+    hi.reverse()
+    # past the last orbit where class u has a coefficient, its range is
+    # fixed: check it once there, then only when the next group starts
+    last = [max((o for o in range(no) if cols[o][u]), default=-1) for u in range(nu)]
+    live = [list(range(nu))] + [
+        [u for u in range(nu) if last[u] >= oi - 1] for oi in range(1, no + 1)
+    ]
+    # later_lo[gi][u], later_hi[gi][u]: what the groups after gi can add
+    later_lo = [[0] * nu]
+    later_hi = [[0] * nu]
+    for val, cnt in reversed(groups[1:]):
+        ext = (lo[0], hi[0]) if val > 0 else (hi[0], lo[0])
+        later_lo.append([a + cnt * val * b for a, b in zip(later_lo[-1], ext[0])])
+        later_hi.append([a + cnt * val * b for a, b in zip(later_hi[-1], ext[1])])
+    later_lo.reverse()
+    later_hi.reverse()
+
+    nonzero = [[(u, c) for u, c in enumerate(col) if c] for col in cols]
+    need = list(targets)
+    taken = [0] * no
     acc: list[tuple[int, int]] = []
 
     def per_group(gi: int, fresh_at: int) -> Iterator[tuple[list[tuple[int, int]], int]]:
         if gi == len(groups):
-            yield list(acc), fresh_at
+            if not any(need):
+                yield list(acc), fresh_at
             return
         val, cnt = groups[gi]
+        flo, fhi = later_lo[gi], later_hi[gi]
+
+        def reachable(oi: int, left: int) -> bool:
+            # one unit of val placed at orbit oi or later adds val * c with
+            # c in [lo[oi][u], hi[oi][u]]
+            small, large = (lo[oi], hi[oi]) if val > 0 else (hi[oi], lo[oi])
+            n = left * val
+            for u in live[oi]:
+                r = need[u]
+                if r < n * small[u] + flo[u] or r > n * large[u] + fhi[u]:
+                    return False
+            return True
 
         def per_orbit(oi: int, left: int) -> Iterator[tuple[list[tuple[int, int]], int]]:
-            if oi == len(orbits):
+            if not reachable(oi, left):
+                return
+            if oi == no:
                 mark = len(acc)
                 acc.extend((fresh_at + j, val) for j in range(left))
                 yield from per_group(gi + 1, fresh_at + left)
@@ -407,7 +459,11 @@ def _distributions(
                 base = taken[oi]
                 acc.extend((members[base + j], val) for j in range(t))
                 taken[oi] += t
+                for u, c in nonzero[oi]:
+                    need[u] -= val * t * c
                 yield from per_orbit(oi + 1, left - t)
+                for u, c in nonzero[oi]:
+                    need[u] += val * t * c
                 taken[oi] -= t
                 del acc[mark:]
 
@@ -441,18 +497,46 @@ def _canonical_classes(
     )
 
 
-def _zeros_feasible(zero_rows: Sequence[Mapping[int, int]]) -> bool:
-    # degree-zero classes are the only ones an area form can starve:
-    # anything with a0 > 0 is fed by a large enough w(h)
-    idx = sorted(set().union(*zero_rows)) if zero_rows else []
-    slot = {i: j for j, i in enumerate(idx)}
-    rows = []
-    for z in zero_rows:
-        row = [0] * len(idx)
-        for i, c in z.items():
-            row[slot[i]] = c
-        rows.append(row)
-    return _all_positive_feasible(rows, len(idx))
+def _dominance_cycle(zero_rows: Sequence[Mapping[int, int]]) -> Optional[list[int]]:
+    """A cycle that starves some degree-zero class of area, or None.
+
+    Degree-zero classes are the only ones an area form can starve:
+    anything with a0 > 0 is fed by a large enough w(h).  Each one is
+    e_a - sum(e_b for b in S), of positive area iff w(e_a) > sum(w(e_b)),
+    read as edges a -> b.  A cycle through a would force w(e_a) > w(e_a);
+    without one, weights given in reverse topological order, each 1 more
+    than the sum over its successors, satisfy every row.  The cycle is
+    returned in edge order, each edge a -> b taken from one row with +1
+    at a and -1 at b.
+    """
+    succ: dict[int, list[int]] = {}
+    for row in zero_rows:
+        heads = [i for i, c in row.items() if c == 1]
+        if len(heads) != 1 or any(c not in (1, -1) for c in row.values()):
+            raise ValueError(f"not a degree-zero sphere class: {dict(row)}")
+        succ.setdefault(heads[0], []).extend(i for i, c in row.items() if c == -1)
+    done: set[int] = set()
+    for start in succ:
+        if start in done:
+            continue
+        # depth-first; a successor still on the path closes a cycle
+        path = [start]
+        where = {start: 0}
+        stack = [iter(succ[start])]
+        while stack:
+            nxt = next(stack[-1], None)
+            if nxt is None:
+                stack.pop()
+                last = path.pop()
+                del where[last]
+                done.add(last)
+            elif nxt in where:
+                return path[where[nxt]:]
+            elif nxt not in done:
+                where[nxt] = len(path)
+                path.append(nxt)
+                stack.append(iter(succ.get(nxt, ())))
+    return None
 
 
 class _Search:
@@ -482,22 +566,22 @@ class _Search:
     ) -> Iterator[tuple[int, dict[int, int], int]]:
         v = self.order[pos]
         a0 = 1 if v == self.g.root else self.req[v][self.g.root]
-        cos = [co for _, co in assigned]
+        wants = [self.req[self.order[upos]][v] for upos in range(len(assigned))]
+        # e-part of the pairing with each earlier class: a0*ua0 - wanted
+        targets = [ua0 * a0 - w for (ua0, _), w in zip(assigned, wants)]
+        orbits, cols = _orbits([co for _, co in assigned], n_used)
         for profile in self.profiles[pos]:
             groups = _grouped(profile)
-            orbits = _orbits(cos, n_used)
-            for items, new_used in _distributions(groups, orbits, n_used):
+            for items, new_used in _distributions(groups, orbits, cols, targets, n_used):
                 co = dict(items)
-                ok = True
-                for upos, (ua0, uco) in enumerate(assigned):
+                for (ua0, uco), want in zip(assigned, wants):
                     small, big = (co, uco) if len(co) <= len(uco) else (uco, co)
                     got = ua0 * a0 - sum(c * big.get(i, 0) for i, c in small.items())
-                    if got != self.req[self.order[upos]][v]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                if a0 == 0 and not _zeros_feasible([*zero_rows, co]):
+                    if got != want:
+                        raise RuntimeError(
+                            f"distribution for vertex {v} pairs to {got}, not {want}"
+                        )
+                if a0 == 0 and _dominance_cycle([*zero_rows, co]) is not None:
                     continue
                 yield a0, co, new_used
 
@@ -512,7 +596,9 @@ class _Search:
         if pos == self.g.n:
             self.emit(assigned, n_used, sink)
             return
-        for a0, co, new_used in self.candidates(pos, assigned, zero_rows, n_used):
+        # materialised so that no open generator holds its bound tables
+        # while the search descends
+        for a0, co, new_used in list(self.candidates(pos, assigned, zero_rows, n_used)):
             assigned.append((a0, co))
             if a0 == 0:
                 zero_rows.append(co)
@@ -538,10 +624,13 @@ def enumerate_embeddings(g: PlumbingGraph) -> tuple[Embedding, ...]:
 
     The root maps to h, which forces every other vertex's h-degree to be
     its pairing with the root; adjunction then leaves finitely many
-    coefficient profiles per vertex.  Partial assignments are pruned by
-    the required pairings and by exact area feasibility of the
-    degree-zero classes seen so far.  Output order and labelling are the
-    same on every run.
+    coefficient profiles per vertex.  A profile's coefficients are
+    distributed over the exceptional indices under running bounds on
+    the pairings with the classes already placed, so every candidate
+    generated pairs as required.  Candidates are then pruned by area:
+    the degree-zero classes so far must leave their dominance graph
+    (e_a -> e_b for each class e_a - ... - e_b - ...) without a cycle.
+    Output order and labelling are the same on every run.
     """
     search = _Search(g)
     if any(not p for p in search.profiles):

@@ -198,13 +198,18 @@ def _final_status(
     return "Unknown"
 
 
-def run_pipeline(combo: CuspCombo) -> ClassificationRecord:
-    """Run every rule, then cap, embeddings, blow-downs, catalog."""
-    verdicts = [
+def arithmetic_verdicts(combo: CuspCombo) -> List[ObstructionVerdict]:
+    """The gates that need only the cusp data, each run unconditionally."""
+    return [
         semigroup_verdict(combo),
         riemann_hurwitz_verdict(combo),
         sextic_simple_verdict(combo),
     ]
+
+
+def run_pipeline(combo: CuspCombo) -> ClassificationRecord:
+    """Run every rule, then cap, embeddings, blow-downs, catalog."""
+    verdicts = arithmetic_verdicts(combo)
     recipe = cap_for_combo(combo)
     cap_kind = cap_error = None
     embeddings: List[Embedding] = []

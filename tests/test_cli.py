@@ -124,6 +124,29 @@ def test_classify_tallies_and_exit_codes():
     assert code == 0 and rep["results"]["tally"] == {"UniqueInPlane": 4}
 
 
+def test_classify_rejects_small_degrees_before_enumerating():
+    # a negative degree has the genus of a large positive one
+    code, out, err = run("classify", "--degree", "-9")
+    assert code == 1 and out == ""
+    assert err == "atlas: error: degree >= 3, got -9\n"
+
+
+def test_combo_specs_go_through_the_arithmetic_gates():
+    spec = "2,3+2,3+2,3+2,3+2,3+2,3"
+    for command in ("cap", "embed", "blowdown"):
+        code, rep = run_json(command, spec)
+        assert code == 2
+        failed = rep["results"]["failed_rules"]
+        assert [f["rule"] for f in failed] == ["RiemannHurwitz"]
+        assert failed[0]["witness"] == {"base": 0, "lhs": 6, "rhs": 7}
+    code, out, _ = run("embed", spec)
+    assert code == 2 and "RiemannHurwitz fails" in out
+    code, rep = run_json("embed", "2,3+2,3+2,3")
+    assert code == 0 and rep["results"]["failed_rules"] == []
+    code, rep = run_json("embed", "E3")
+    assert code == 0 and "failed_rules" not in rep["results"]
+
+
 def test_lens_report():
     code, rep = run_json("lens", "25", "4")
     assert code == 0

@@ -174,6 +174,9 @@ def test_enumerate_combos_counts():
     assert len(enumerate_combos(3)) == 1
     assert len(enumerate_combos(4)) == 4
     assert len(enumerate_combos(5)) == 19
+    for degree in (2, 0, -9):
+        with pytest.raises(ValueError, match="degree >= 3"):
+            enumerate_combos(degree)
 
 
 def test_enumerate_combos_contents_degree4():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuspatlas import lattice
 from cuspatlas.blowdown import blow_down_trace, catalog_lookup
 from cuspatlas.cusp import CuspCombo, CuspType, enumerate_combos, semigroup_condition
 from cuspatlas.lattice import (
@@ -126,6 +127,140 @@ def test_area_easy_cases():
     assert area_feasible([parse_class("e0-e1"), parse_class("e1-e2")]) is True
     # a class that can never have positive area against positive e-weights
     assert area_feasible([parse_class("-e0-e1")]) is False
+
+
+degree_zero_rows = st.lists(
+    st.tuples(
+        st.integers(0, 5),
+        st.lists(st.integers(0, 5), max_size=3, unique=True),
+    ).filter(lambda row: row[0] not in row[1]),
+    max_size=6,
+)
+
+
+@given(rows=degree_zero_rows)
+@settings(max_examples=300)
+def test_dominance_cycle_agrees_with_the_area_lp(rows):
+    dicts = [{a: 1, **{b: -1 for b in rest}} for a, rest in rows]
+    cycle = lattice._dominance_cycle(dicts)
+    assert (cycle is None) == area_feasible([HClass.make(0, d) for d in dicts])
+    if cycle is not None:
+        # an integer certificate: each edge a -> b is one row's +e_a, -e_b
+        assert len(cycle) == len(set(cycle)) >= 2
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            assert any(d.get(a) == 1 and d.get(b) == -1 for d in dicts)
+
+
+def test_dominance_cycle_shapes():
+    assert lattice._dominance_cycle([]) is None
+    assert lattice._dominance_cycle([{0: 1}, {1: 1, 0: -1}]) is None
+    cycle = lattice._dominance_cycle([{0: 1, 1: -1, 2: -1}, {1: 1, 0: -1, 2: -1}])
+    assert sorted(cycle) == [0, 1]
+    with pytest.raises(ValueError):
+        lattice._dominance_cycle([{0: 1, 1: 1}])
+    with pytest.raises(ValueError):
+        lattice._dominance_cycle([{0: 2, 1: -1}])
+
+
+# ---------------------------------------------------------------- search
+
+
+def _splits(n, rooms):
+    # every way to put at most n units into orbits with these free slots
+    if not rooms:
+        yield ()
+        return
+    for t in range(min(n, rooms[0]) + 1):
+        for rest in _splits(n - t, rooms[1:]):
+            yield (t,) + rest
+
+
+def _unpruned(groups, orbits, taken, fresh_at):
+    """Every placement of the profile values, pairings ignored."""
+    if not groups:
+        yield [], fresh_at
+        return
+    (val, cnt), later = groups[0], groups[1:]
+    for split in _splits(cnt, [len(o) - k for o, k in zip(orbits, taken)]):
+        items = [
+            (orbits[o][taken[o] + j], val) for o, t in enumerate(split) for j in range(t)
+        ]
+        rest = cnt - sum(split)
+        items += [(fresh_at + j, val) for j in range(rest)]
+        now = [k + t for k, t in zip(taken, split)]
+        for tail, end in _unpruned(later, orbits, now, fresh_at + rest):
+            yield items + tail, end
+
+
+def _pairs_as_required(items, orbits, cols, targets):
+    col_of = {i: col for members, col in zip(orbits, cols) for i in members}
+    return all(
+        sum(val * col_of.get(i, (0,) * len(targets))[u] for i, val in items) == want
+        for u, want in enumerate(targets)
+    )
+
+
+def _checked_distributions(seen):
+    real = lattice._distributions
+
+    def wrapper(groups, orbits, cols, targets, fresh_start):
+        got = []
+        for items, end in real(groups, orbits, cols, targets, fresh_start):
+            indices = [i for i, _ in items]
+            assert len(set(indices)) == len(indices)
+            assert sorted(v for _, v in items) == sorted(
+                v for v, c in groups for _ in range(c)
+            )
+            fresh = sorted(i for i in indices if i >= fresh_start)
+            assert fresh == list(range(fresh_start, end))
+            assert _pairs_as_required(items, orbits, cols, targets)
+            got.append((tuple(sorted(items)), end))
+            yield items, end
+        seen.append(len(got))
+        want = [
+            (tuple(sorted(items)), end)
+            for items, end in _unpruned(groups, orbits, [0] * len(orbits), fresh_start)
+            if _pairs_as_required(items, orbits, cols, targets)
+        ]
+        assert sorted(got) == sorted(want)
+
+    return wrapper
+
+
+BENCH_CAPS = (
+    [("A_p", p) for p in range(2, 11)]
+    + [("B_p", p) for p in range(2, 7)]
+    + [("E3", None), ("E6", None)]
+)
+
+
+def _combo_caps(degrees):
+    return [
+        build_cap(cap_for_combo(combo))
+        for d in degrees
+        for combo in enumerate_combos(d)
+    ]
+
+
+def test_distributions_yield_exactly_the_required_pairings(monkeypatch):
+    # every item pairs as required, and nothing that would is pruned:
+    # the unpruned placements filtered by the pairing check agree
+    seen = []
+    monkeypatch.setattr(lattice, "_distributions", _checked_distributions(seen))
+    for g in [cap(kind, p) for kind, p in BENCH_CAPS] + _combo_caps((3, 4, 5)):
+        enumerate_embeddings(g)
+    assert sum(seen) > 0
+
+
+def test_pairing_mismatch_from_the_generator_is_an_internal_error(monkeypatch):
+    def broken(groups, orbits, cols, targets, fresh_start):
+        # every value on fresh indices, whatever the pairings require
+        values = [v for v, c in groups for _ in range(c)]
+        yield [(fresh_start + j, v) for j, v in enumerate(values)], fresh_start + len(values)
+
+    monkeypatch.setattr(lattice, "_distributions", broken)
+    with pytest.raises(RuntimeError, match="pairs to"):
+        enumerate_embeddings(cap("A_p", p=2))
 
 
 # ---------------------------------------------------------------- embeddings
@@ -258,6 +393,24 @@ def test_obstructed_quintic_caps_have_no_embeddings():
         combo = CuspCombo(5, tuple(CuspType(p, q) for p, q in pqs))
         g = build_cap(cap_for_combo(combo))
         assert enumerate_embeddings(g) == ()
+
+
+# embedding lists of longer chains, checked against the unpruned search
+SCALING_KS = {
+    **{("A_p", p): [0] for p in range(11, 15)},
+    **{("B_p", p): [0, 1] for p in range(7, 11)},
+}
+
+
+def test_scaling_census_frozen():
+    for (kind, p), ks in SCALING_KS.items():
+        assert [e.k for e in enumerate_embeddings(cap(kind, p))] == ks
+
+
+def test_a30_has_one_plane_embedding():
+    # a guard for the pruning: the unpruned search grew about 3x per +2 in p
+    (e,) = enumerate_embeddings(cap("A_p", p=30))
+    assert e.k == 0 and ambient(e) == "CP2"
 
 
 # ---------------------------------------------------------------- invariants
