@@ -1,52 +1,24 @@
-"""Negative continued fractions over the projective rationals.
+"""Negative continued fractions through integer continuants.
 
-Everything here is exact.  A continued fraction string [m_1, ..., m_l]
-denotes m_1 - 1/(m_2 - 1/(... - 1/m_l)).  Values live in Q together with
-a single point at infinity, represented by None.
+Everything here is exact and integer.  A continued fraction string
+[m_1, ..., m_l] denotes m_1 - 1/(m_2 - 1/(... - 1/m_l)), read on the
+projective line, so a step may pass through the point at infinity.
+
+The string is the product of the matrices ((m_i, -1), (1, 0)).  The
+first column of that product is the pair of continuants
+(K(m_1..m_l), K(m_2..m_l)), so the value is K(m)/K(m[1:]).  The product
+has determinant 1, so the pair is primitive: the string is zero iff
+K(m) = 0, and infinite iff K(m[1:]) = 0.
+
+The zero-string search carries each forced tail value as a primitive
+integer pair (a, b) meaning a/b, with b = 0 for infinity.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
-from typing import Optional
 
-Rational = Fraction
 CFString = tuple[int, ...]
-
-# None plays the role of the projective infinity throughout.
-ProjValue = Optional[Fraction]
-
-INF: ProjValue = None
-
-
-def proj_inv(x: ProjValue) -> ProjValue:
-    """1/x with 1/0 = infinity and 1/infinity = 0."""
-    if x is None:
-        return Fraction(0)
-    if x == 0:
-        return None
-    return 1 / x
-
-
-def proj_sub(m: int, x: ProjValue) -> ProjValue:
-    """m - x; subtracting infinity gives infinity (projective line)."""
-    if x is None:
-        return None
-    return Fraction(m) - x
-
-
-def cf_step(m: int, x: ProjValue) -> ProjValue:
-    """One right-to-left evaluation step: m - 1/x."""
-    return proj_sub(m, proj_inv(x))
-
-
-def cf_eval(seq: CFString) -> ProjValue:
-    """Value of [m_1, ..., m_l]; the empty string evaluates to infinity."""
-    x: ProjValue = INF
-    for m in reversed(seq):
-        x = cf_step(m, x)
-    return x
 
 
 def cf_expand(p: int, q: int) -> CFString:
@@ -71,45 +43,28 @@ def cf_dual(seq: CFString) -> CFString:
     """Riemenschneider dual: the expansion of p/(p-q) when seq expands p/q.
 
     Only defined for nonempty strings with all entries >= 2, whose value
-    p/q is finite and exceeds 1, so p > p - q >= 1 as cf_expand needs.
+    p/q = K(seq)/K(seq[1:]) is finite, in lowest terms and exceeds 1, so
+    p > p - q >= 1 as cf_expand needs.
     """
     if not seq or any(m < 2 for m in seq):
         raise ValueError("dual is defined for nonempty strings of entries >= 2")
-    v = cf_eval(seq)
-    p, q = v.numerator, v.denominator
+    p, q = continuant(seq), continuant(seq[1:])
     return cf_expand(p, p - q)
 
 
-def zero_string_tails(m: CFString) -> list[ProjValue] | None:
-    """Forced tail values t_i = [m_i, ..., m_l] for a zero string, or None.
-
-    When the whole string evaluates to zero the tails are recovered
-    front-to-back: t_1 = 0 and t_{i+1} = 1/(m_i - t_i).  Returns
-    [t_1, ..., t_l] when the string closes (t_l finite and equal to
-    m_l), else None.
-    """
-    tails: list[ProjValue] = []
-    t: ProjValue = Fraction(0)
-    for i, mi in enumerate(m):
-        tails.append(t)
-        if i + 1 < len(m):
-            t = proj_inv(proj_sub(mi, t))
-    if tails and tails[-1] is not None and tails[-1] == m[-1]:
-        return tails
-    return None
-
-
 def is_zero_string(m: CFString) -> bool:
-    return len(m) > 0 and cf_eval(m) == 0
+    return len(m) > 0 and continuant(m) == 0
 
 
 def enumerate_zero_strings(n: CFString) -> list[CFString]:
     """All strings m with 1 <= m_i <= n_i and [m_1,...,m_l] = 0.
 
     Exhaustive depth-first search in lexicographic order.  The state
-    after a prefix is the forced tail value t, with t_1 = 0 and
-    t_{i+1} = 1/(m_i - t_i); the string closes iff the last entry
-    equals its own (finite) forced tail.
+    after a prefix is the forced tail value t_i = [m_i, ..., m_l] as a
+    primitive pair (a, b): t_1 = 0 is (0, 1), and t_{i+1} = 1/(m_i - t_i)
+    is (b, m_i b - a).  The string closes iff the last tail is finite
+    (b != 0) and an integer a/b with 1 <= a/b <= n_l, which is then the
+    last entry.
 
     Warning: the number of results can grow exponentially in len(n)
     for bounds like [2,2,...,2]; callers doing scans should prefer
@@ -121,20 +76,17 @@ def enumerate_zero_strings(n: CFString) -> list[CFString]:
         return out
     prefix: list[int] = []
 
-    def walk(i: int, t: ProjValue) -> None:
+    def walk(i: int, a: int, b: int) -> None:
         if i == ell - 1:
-            # closing entry must equal the forced finite tail
-            if t is not None and t.denominator == 1 and 1 <= t <= n[i]:
-                prefix.append(int(t))
-                out.append(tuple(prefix))
-                prefix.pop()
+            if b != 0 and a % b == 0 and 1 <= a // b <= n[i]:
+                out.append((*prefix, a // b))
             return
         for mi in range(1, n[i] + 1):
             prefix.append(mi)
-            walk(i + 1, proj_inv(proj_sub(mi, t)))
+            walk(i + 1, b, mi * b - a)
             prefix.pop()
 
-    walk(0, Fraction(0))
+    walk(0, 0, 1)
     return out
 
 
@@ -150,7 +102,8 @@ def continuant(seq: CFString) -> int:
     """Numerator of the value of seq as a polynomial in the entries.
 
     K() = 1, K(m_1) = m_1, K(m_1..m_i) = m_i K(..m_{i-1}) - K(..m_{i-2}).
-    For all-entries >= 2 strings, cf_eval(seq) = K(seq)/K(seq[1:]).
+    The value of a nonempty seq is K(seq)/K(seq[1:]), infinite when the
+    denominator is 0.  K reads the same on the reversed string.
     """
     km2, km1 = 0, 1
     for m in seq:

@@ -7,12 +7,15 @@ source with --dot where a graph is involved.  Exit status 0 means the
 run finished without negative findings, 2 flags an obstructed or
 unrealizable answer so shell pipelines can branch on it, 1 is a usage
 error, and 3 an internal error (a broken invariant of the engine).
+A reader that closes stdout early, as `| head` does, cuts the output
+short without a traceback; the status stays the command's own.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from itertools import combinations
@@ -497,14 +500,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RuntimeError as exc:
         print(f"atlas: internal error: {exc}", file=sys.stderr)
         return 3
-    if args.json:
-        if dot is not None and args.dot:
-            report["results"]["dot"] = dot
-        print(json.dumps(report, indent=2))
-    elif args.dot and dot is not None:
-        sys.stdout.write(dot)
-    else:
-        print("\n".join(lines))
+    try:
+        if args.json:
+            if dot is not None and args.dot:
+                report["results"]["dot"] = dot
+            print(json.dumps(report, indent=2))
+        elif args.dot and dot is not None:
+            sys.stdout.write(dot)
+        else:
+            print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe; point stdout at devnull so that
+        # the flush at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

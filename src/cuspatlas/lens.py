@@ -25,7 +25,6 @@ from .cf import (
     enumerate_zero_strings,
     excess,
     fib,
-    is_zero_string,
 )
 
 
@@ -81,31 +80,49 @@ def filling_strings(L: LensSpace) -> List[Tuple[CFString, int]]:
 
 
 def excess_one_strings(L: LensSpace) -> List[CFString]:
-    """All excess-1 filling strings, one probe per lowerable entry."""
-    n = bounds(L)
+    """All excess-1 filling strings, one probe per entry."""
+    return _excess_one(bounds(L))
+
+
+def _excess_one(n: CFString) -> List[CFString]:
+    """The zero strings that lower one entry of n by 1.
+
+    K is linear in each entry, and the coefficient of n_j is
+    K(n[:j]) K(n[j+1:]), so lowering n_j gives the continuant
+    K(n) - K(n[:j]) K(n[j+1:]).  One prefix and one suffix pass of
+    continuants settle every probe.
+    """
+    before = [0, 1]  # before[j + 1] = K(n[:j])
+    for a in n:
+        before.append(a * before[-1] - before[-2])
     out = []
-    for j in range(len(n)):
-        if n[j] >= 2:
-            m = n[:j] + (n[j] - 1,) + n[j + 1 :]
-            if is_zero_string(m):
-                out.append(m)
+    after, after2 = 1, 0  # K(n[j+1:]) and K(n[j+2:]), j walking down
+    for j in range(len(n) - 1, -1, -1):
+        if before[j + 1] * after == before[-1]:
+            out.append(n[:j] + (n[j] - 1,) + n[j + 1 :])
+        after, after2 = n[j] * after - after2, after
+    out.reverse()
     return out
 
 
 def rational_ball_string(L: LensSpace) -> Optional[CFString]:
     """The unique excess-1 filling string, present exactly on the Wahl
     family; the lowered entry always sits on a 2 in the bounds."""
-    ones = excess_one_strings(L)
+    return _ball_string(bounds(L), wahl_family(L))
+
+
+def _ball_string(n: CFString, wahl: Optional[Tuple[int, int]]) -> Optional[CFString]:
+    """rational_ball_string for the bounds n and Wahl shape of a space."""
+    ones = _excess_one(n)
     if not ones:
-        if wahl_family(L) is not None:
+        if wahl is not None:
             raise RuntimeError("Wahl space missing its ball string")
         return None
-    if wahl_family(L) is None:
+    if wahl is None:
         raise RuntimeError("ball string off the Wahl family")
     if len(ones) != 1:
         raise RuntimeError("rational-ball string is not unique")
     (m,) = ones
-    n = bounds(L)
     (j,) = [i for i in range(len(n)) if n[i] != m[i]]
     if n[j] != 2:
         raise RuntimeError("the lowered entry does not sit on a 2")
@@ -124,9 +141,9 @@ def to_dict(L: LensSpace) -> dict:
     """CLI-facing report: strings, excesses, ball data, Wahl shape.
     Skips the full string listing when the bounded product space
     exceeds 2^20 candidates."""
-    ball = rational_ball_string(L)
-    wahl = wahl_family(L)
     n = bounds(L)
+    wahl = wahl_family(L)
+    ball = _ball_string(n, wahl)
     space = 1
     for a in n:
         space *= a

@@ -3,32 +3,38 @@ from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cuspatlas.cf import (
     cf_dual,
-    cf_eval,
     cf_expand,
     continuant,
     enumerate_zero_strings,
     excess,
     fib,
     is_zero_string,
-    zero_string_tails,
 )
 
 
 def eval_oracle(seq):
-    """Independent evaluator: plain recursion on Fractions, None = infinity."""
-    if not seq:
-        return None
-    tail = eval_oracle(seq[1:])
-    if tail is None:
-        return Fraction(seq[0])
-    if tail == 0:
-        return None
-    return Fraction(seq[0]) - 1 / tail
+    """Independent evaluator: right to left on Fractions, None = infinity."""
+    value = None
+    for m in reversed(seq):
+        if value is None:
+            value = Fraction(m)
+        elif value == 0:
+            value = None
+        else:
+            value = Fraction(m) - 1 / value
+    return value
+
+
+def continuant_value(seq):
+    """The value as the continuant pair K(seq)/K(seq[1:]), None = infinity;
+    the empty string is the identity matrix, first column (1, 0)."""
+    den = continuant(seq[1:]) if seq else 0
+    return None if den == 0 else Fraction(continuant(seq), den)
 
 
 coprime_pairs = st.integers(2, 400).flatmap(
@@ -57,17 +63,20 @@ def test_expand_rejects_bad_input():
 
 
 def test_eval_frozen():
-    assert cf_eval((2, 2)) == Fraction(3, 2)
-    assert cf_eval((2, 1, 2)) == 0
-    assert cf_eval(()) is None
-    assert cf_eval((4,)) == 4
-    assert cf_eval((1, 1)) == 0  # the shortest zero string
-    assert cf_eval((1, 1, 1)) is None  # [1,1] = 0, then 1 - 1/0
+    for value in (eval_oracle, continuant_value):
+        assert value((2, 2)) == Fraction(3, 2)
+        assert value((2, 1, 2)) == 0
+        assert value(()) is None
+        assert value((4,)) == 4
+        assert value((1, 1)) == 0  # the shortest zero string
+        assert value((1, 1, 1)) is None  # [1,1] = 0, then 1 - 1/0
 
 
 def test_eval_agrees_with_oracle_small():
-    for seq in product(range(1, 4), repeat=4):
-        assert cf_eval(seq) == eval_oracle(seq)
+    for length in range(5):
+        for seq in product(range(1, 4), repeat=length):
+            assert continuant_value(seq) == eval_oracle(seq)
+            assert is_zero_string(seq) == (eval_oracle(seq) == 0)
 
 
 @given(coprime_pairs)
@@ -75,7 +84,7 @@ def test_expand_eval_roundtrip(pq):
     p, q = pq
     seq = cf_expand(p, q)
     assert all(m >= 2 for m in seq)
-    assert cf_eval(seq) == Fraction(p, q)
+    assert eval_oracle(seq) == Fraction(p, q)
 
 
 @given(coprime_pairs)
@@ -90,7 +99,7 @@ def test_riemenschneider_duality(pq):
     p, q = pq
     seq = cf_expand(p, q)
     dual = cf_dual(seq)
-    assert cf_eval(dual) == Fraction(p, p - q)
+    assert eval_oracle(dual) == Fraction(p, p - q)
     # total weight is preserved: sum(a_i - 1) = sum(b_j - 1)
     assert sum(m - 1 for m in seq) == sum(m - 1 for m in dual)
     assert cf_dual(dual) == seq
@@ -159,13 +168,15 @@ def test_zero_string_reversal_closure():
         assert tuple(reversed(m)) in found
 
 
-def test_zero_string_tails():
-    tails = zero_string_tails((2, 1, 2))
-    assert tails is not None
-    # t_i must equal the value of the suffix starting at i
-    for i, t in enumerate(tails):
-        assert t == eval_oracle((2, 1, 2)[i:])
-    assert zero_string_tails((2, 2)) is None
+@given(st.lists(st.integers(1, 4), max_size=7).map(tuple))
+@example((1,) * 7)
+@example((4,) * 7)
+@settings(max_examples=60, deadline=None)
+def test_zero_strings_match_the_oracle_filter(bounds):
+    # entries of 1 make prefixes pass through infinity, as in (1, 1, 1)
+    below = product(*(range(1, b + 1) for b in bounds))
+    expected = [m for m in below if eval_oracle(m) == 0]
+    assert enumerate_zero_strings(bounds) == expected
 
 
 def test_excess():

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -208,6 +212,23 @@ def test_internal_error_exits_3(monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "atlas: internal error: blow-down deadlock: every index is held up\n"
+
+
+def test_closed_stdout_keeps_the_exit_status_and_a_clean_stderr():
+    # the reading end is closed before the report is written, so every
+    # write meets a broken pipe
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cuspatlas.cli", "embed", "3,7", "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == b""
 
 
 @pytest.mark.parametrize(

@@ -4,8 +4,10 @@ import json
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from test_cf import coprime_pairs, eval_oracle
 
-from cuspatlas.cf import excess, fib
+from cuspatlas.cf import continuant, excess, fib
 from cuspatlas.lens import (
     LensSpace,
     bounds,
@@ -76,6 +78,27 @@ def test_excess_one_iff_wahl_small_sweep():
                 assert ones == [], (p, q)
             else:
                 assert len(ones) == 1, (p, q)
+
+
+@given(coprime_pairs)
+@settings(max_examples=40, deadline=None)
+def test_excess_one_strings_match_the_oracle_filter(pq):
+    L = LensSpace(*pq)
+    n = bounds(L)
+    lowered = [n[:j] + (n[j] - 1,) + n[j + 1 :] for j in range(len(n))]
+    assert excess_one_strings(L) == [m for m in lowered if eval_oracle(m) == 0]
+
+
+def test_probes_scale_to_long_bounds():
+    # 3,336 entries for L(10007, 3), 1,001 for L(10^6, 999)
+    assert excess_one_strings(LensSpace(10007, 3)) == []
+    m = 1000
+    L = LensSpace(m * m, m - 1)
+    n = bounds(L)
+    s = rational_ball_string(L)
+    diff = [j for j in range(len(n)) if n[j] != s[j]]
+    assert len(diff) == 1 and (n[diff[0]], s[diff[0]]) == (2, 1)
+    assert continuant(s) == 0
 
 
 def test_wahl_members_have_their_ball_string():
