@@ -194,11 +194,12 @@ class ConfigFingerprint:
     def summary(self) -> str:
         degs = ",".join(str(d) for d in sorted(self.degrees))
         pts = []
-        for r in sorted(self.roots()):
+        for r in self.roots():
             curves = sorted(self.curves_in_cluster(r))
             size = len(self.tree(r))
             pts.append(f"[{'+'.join(self.labels[c] for c in curves)}]x{size}")
-        return f"degrees({degs}) points " + " ".join(pts)
+        # node ids follow the exceptional index labels; sorted tokens do not
+        return f"degrees({degs}) points " + " ".join(sorted(pts))
 
 
 def _prune(

@@ -52,10 +52,6 @@ def cf_dual(seq: CFString) -> CFString:
     return cf_expand(p, p - q)
 
 
-def is_zero_string(m: CFString) -> bool:
-    return len(m) > 0 and continuant(m) == 0
-
-
 def enumerate_zero_strings(n: CFString) -> list[CFString]:
     """All strings m with 1 <= m_i <= n_i and [m_1,...,m_l] = 0.
 

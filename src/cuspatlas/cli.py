@@ -49,6 +49,7 @@ from .plumbing import (
     build_cap,
     cap_for_combo,
     curve_resolution,
+    family_cap,
     named_cap,
 )
 
@@ -95,11 +96,11 @@ def _parse_cap(spec: Sequence[str]) -> tuple[CapRecipe, Optional[CuspCombo]]:
             p = int(spec[1])
         except ValueError:
             raise UsageError(f"family parameter must be an integer: {spec[1]!r}")
-        return CapRecipe(head + "_p", p=p), None
+        return family_cap(head + "_p", p), None
     if head in ("E3", "E6"):
         if len(spec) != 1:
             raise UsageError(f"family {head} takes no parameter")
-        return CapRecipe(head), None
+        return family_cap(head), None
     if len(spec) != 1:
         raise UsageError(f"cannot read cap spec {' '.join(spec)!r}")
     combo = _parse_combo(head)
@@ -112,9 +113,9 @@ def _parse_cap(spec: Sequence[str]) -> tuple[CapRecipe, Optional[CuspCombo]]:
 def _parse_family(text: str) -> CapRecipe:
     name = text.replace("_", "")
     if name in ("E3", "E6"):
-        return CapRecipe(name)
+        return family_cap(name)
     if len(name) >= 2 and name[0] in ("A", "B") and name[1:].isdigit():
-        return CapRecipe(name[0] + "_p", p=int(name[1:]))
+        return family_cap(name[0] + "_p", int(name[1:]))
     raise UsageError(f"unknown family {text!r}, expected A<p>, B<p>, E3 or E6")
 
 
@@ -151,8 +152,8 @@ def _cap_dict(recipe: CapRecipe) -> dict:
     return {
         "kind": recipe.kind,
         "p": recipe.p,
-        "combo": str(recipe.resolved_combo()),
-        "modes": list(recipe.cusp_modes()),
+        "combo": str(recipe.combo),
+        "modes": list(recipe.modes),
     }
 
 
@@ -246,7 +247,7 @@ def cmd_cap(args) -> tuple[dict, list[str], Optional[str], int]:
     inputs = {"spec": list(args.spec)}
     results = {"cap": _cap_dict(recipe), "graph": _graph_dict(g)}
     lines = [
-        f"cap {recipe.kind} for {recipe.resolved_combo()}:",
+        f"cap {recipe.kind} for {recipe.combo}:",
         f"  {g.n} curves, root weight {g.eulers[g.root]}, det {g.det()}",
         f"  eulers {list(g.eulers)}",
     ]
@@ -415,7 +416,7 @@ def cmd_unicuspidal(args) -> tuple[dict, list[str], Optional[str], int]:
         raise UsageError("unicuspidal needs exactly one of --degree or --family")
     if args.family is not None:
         recipe = _parse_family(args.family)
-        combo = recipe.resolved_combo()
+        combo = recipe.combo
         entries = [_unicuspidal_entry(combo.cusps[0], combo.degree)]
         inputs = {"family": args.family}
     else:

@@ -9,22 +9,28 @@ point arise and disappear the way they do on the surface.
 
 The frozen end product is a PlumbingGraph: self-intersection numbers,
 pairwise contact orders, and the triples of vertices that share a single
-point.  Cap builders resolve each cusp just far enough that the strict
-transform of the curve lands on self-intersection +1.
+point.
+
+A cap is one curve resolution: a mode per cusp under which the strict
+transform of the curve lands on self-intersection +1, and build_cap
+checks that it does.  After the minimal resolution the curve sits at
+d^2 - sum m^2, leaving s = d^2 - sum m^2 - 1 blow-ups to spare.  A
+single cusp spends them all on its last tangency ("min+s"), which
+covers the named families of family_cap; with none to spare every cusp
+stops at "min".  Only the eight quartic and quintic combinations of
+several cusps with blow-ups to spare need a hand table of modes.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .cusp import CuspCombo, CuspType
 from .linalg import int_det
 
 Edge = tuple[int, int, int]
 Corner = tuple[int, int, int]
-Site = Union[int, tuple[int, int], tuple[int, int, int]]
 
 
 @dataclass(frozen=True)
@@ -160,14 +166,7 @@ class _Surface:
         self.meets.append(m)
         return m
 
-    def meet_with(self, curves: Sequence[int]) -> _Meet:
-        wanted = set(curves)
-        found = [m for m in self.meets if wanted <= set(m.curves())]
-        if len(found) != 1:
-            raise ValueError(f"no unique point through curves {sorted(wanted)}")
-        return found[0]
-
-    def blow_up_point(self, meet: _Meet) -> tuple[int, list[_Meet]]:
+    def blow_up_point(self, meet: _Meet) -> list[_Meet]:
         self.meets = [m for m in self.meets if m is not meet]
         for c in meet.curves():
             self.eulers[c] -= 1
@@ -182,12 +181,7 @@ class _Surface:
         else:
             for c in meet.curves():
                 created.append(self.add_meet(c, e))
-        return e, created
-
-    def blow_up_free(self, v: int) -> tuple[int, list[_Meet]]:
-        self.eulers[v] -= 1
-        e = self.add_curve(-1)
-        return e, [self.add_meet(v, e)]
+        return created
 
     def freeze(self, root: Optional[int] = None) -> PlumbingGraph:
         edges: list[Edge] = []
@@ -206,45 +200,6 @@ class _Surface:
         return PlumbingGraph(
             tuple(self.eulers), tuple(self.labels), tuple(edges), tuple(corners), root
         )
-
-
-def _thaw(g: PlumbingGraph) -> _Surface:
-    surf = _Surface()
-    for e, lab in zip(g.eulers, g.labels):
-        surf.add_curve(e, lab)
-    taken = [int(m.group(1)) for m in (re.fullmatch(r"E(\d+)", lab) for lab in g.labels) if m]
-    surf._next_e = 1 + max(taken, default=0)
-    order = {(u, v): o for u, v, o in g.edges}
-    used = set()
-    for u, v, w in g.corners:
-        pairs = [(u, v), (u, w), (v, w)]
-        tangent = [pq for pq in pairs if order[pq] >= 2]
-        if len(tangent) > 1:
-            raise ValueError(f"corner {(u, v, w)} has two tangent pairs")
-        if tangent:
-            a, b = tangent[0]
-            t = ({u, v, w} - {a, b}).pop()
-            surf.add_meet(a, b, order[(a, b)], third=t)
-        else:
-            surf.add_meet(u, v, 1, third=w)
-        used.update(pairs)
-    for u, v, o in g.edges:
-        if (u, v) not in used:
-            surf.add_meet(u, v, o)
-    return surf
-
-
-def blow_up(g: PlumbingGraph, site: Site) -> PlumbingGraph:
-    """Blow up one point: a free point of vertex `site`, or the common
-    point of the given pair or triple of vertices."""
-    surf = _thaw(g)
-    if isinstance(site, int):
-        surf.blow_up_free(site)
-    elif isinstance(site, tuple) and len(site) in (2, 3):
-        surf.blow_up_point(surf.meet_with(site))
-    else:
-        raise ValueError(f"bad blow-up site {site!r}")
-    return surf.freeze(root=g.root)
 
 
 def _resolve_cusp(surf: _Surface, root: int, cusp: CuspType) -> _Meet:
@@ -290,18 +245,17 @@ def _resolve_cusp(surf: _Surface, root: int, cusp: CuspType) -> _Meet:
 
 def _advance(surf: _Surface, root: int, meet: _Meet) -> _Meet:
     # blow up the distinguished point and follow the root to its new one
-    _, created = surf.blow_up_point(meet)
-    for m in created:
+    for m in surf.blow_up_point(meet):
         if root in m.curves():
             return m
     raise RuntimeError("root lost its distinguished point")
 
 
-def _apply_mode(surf: _Surface, root: int, c_meet: _Meet, mode: str) -> _Meet:
+def _apply_mode(surf: _Surface, root: int, c_meet: _Meet, mode: str) -> None:
     if mode == "nc":
         while c_meet.order > 1 or c_meet.third is not None:
             c_meet = _advance(surf, root, c_meet)
-        return c_meet
+        return
     if mode == "min":
         extra = 0
     elif mode.startswith("min+"):
@@ -312,19 +266,6 @@ def _apply_mode(surf: _Surface, root: int, c_meet: _Meet, mode: str) -> _Meet:
         raise ValueError(f"unknown resolution mode {mode!r}")
     for _ in range(extra):
         c_meet = _advance(surf, root, c_meet)
-    return c_meet
-
-
-def _build(combo: CuspCombo, modes: Sequence[str]) -> tuple[_Surface, list[_Meet]]:
-    if len(modes) != len(combo.cusps):
-        raise ValueError("one resolution mode per cusp")
-    surf = _Surface()
-    root = surf.add_curve(combo.degree**2, "C")
-    handles = []
-    for cusp, mode in zip(combo.cusps, modes):
-        c_meet = _resolve_cusp(surf, root, cusp)
-        handles.append(_apply_mode(surf, root, c_meet, mode))
-    return surf, handles
 
 
 def curve_resolution(combo: CuspCombo, modes: Sequence[str]) -> PlumbingGraph:
@@ -335,8 +276,13 @@ def curve_resolution(combo: CuspCombo, modes: Sequence[str]) -> PlumbingGraph:
     continues to a normal crossing star.  The root keeps its honest
     self-intersection degree^2 - sum of squared multiplicities.
     """
-    surf, _ = _build(combo, modes)
-    return surf.freeze(root=0)
+    if len(modes) != len(combo.cusps):
+        raise ValueError("one resolution mode per cusp")
+    surf = _Surface()
+    root = surf.add_curve(combo.degree**2, "C")
+    for cusp, mode in zip(combo.cusps, modes):
+        _apply_mode(surf, root, _resolve_cusp(surf, root, cusp), mode)
+    return surf.freeze(root=root)
 
 
 def nc_resolution(cusp: CuspType) -> PlumbingGraph:
@@ -346,8 +292,7 @@ def nc_resolution(cusp: CuspType) -> PlumbingGraph:
     """
     surf = _Surface()
     root = surf.add_curve(0, "C")
-    c_meet = _resolve_cusp(surf, root, cusp)
-    _apply_mode(surf, root, c_meet, "nc")
+    _apply_mode(surf, root, _resolve_cusp(surf, root, cusp), "nc")
     g = surf.freeze(root=root)
     for tri in g.corners:
         if root in tri:
@@ -359,18 +304,14 @@ def nc_resolution(cusp: CuspType) -> PlumbingGraph:
     return PlumbingGraph(g.eulers[1:], g.labels[1:], edges, corners, root=None)
 
 
-# stock per-cusp resolution modes closing the cap at +1, keyed by the
-# sorted cusp tuple of the combination
-_QUARTIC_MODES = {
-    ((3, 4),): ("nc",),
-    ((2, 7),): ("nc",),
+
+
+# per-cusp modes of the degree 4 and 5 combinations whose curve has
+# blow-ups to spare after the minimal resolution, keyed by the sorted
+# cusp tuple; these choices fix the frozen quartic and quintic census
+_SPARE_MODES = {
     ((2, 3), (2, 5)): ("nc", "min+1"),
     ((2, 3), (2, 3), (2, 3)): ("min+1", "min+1", "min+1"),
-}
-
-_QUINTIC_MODES = {
-    ((4, 5),): ("nc",),
-    ((3, 7),): ("nc",),
     ((3, 4), (3, 4)): ("nc", "nc"),
     ((2, 5), (3, 5)): ("min+1", "nc"),
     ((2, 7), (3, 4)): ("min+1", "min+2"),
@@ -382,102 +323,85 @@ _QUINTIC_MODES = {
 
 @dataclass(frozen=True)
 class CapRecipe:
-    """Named construction of a cap: which combination to resolve and how
-    far to resolve each cusp so the curve closes at +1.
+    """A cap: the combination and one resolution mode per cusp (combo
+    order) under which the curve lands at +1.
 
-    Kinds: A_p is the (p, p+1) cusp on a degree p+1 curve, B_p the
-    (p, 4p-1) cusp on degree 2p, E3 the (3, 22) cusp on degree 8, E6 the
-    (6, 43) cusp on degree 16.  QuarticMin and QuinticMin pick stock
-    modes for a degree 4 or 5 combination; Custom takes explicit modes.
+    kind and p label the construction in reports: A_p, B_p, E3 and E6
+    are the named families of family_cap, QuarticMin and QuinticMin the
+    stock caps of cap_for_combo on degrees 4 and 5.
     """
 
     kind: str
+    combo: CuspCombo
+    modes: tuple[str, ...]
     p: Optional[int] = None
-    combo: Optional[CuspCombo] = None
-    modes: Optional[tuple[str, ...]] = None
-
-    def __post_init__(self) -> None:
-        if self.kind in ("A_p", "B_p"):
-            if self.p is None or self.p < 2:
-                raise ValueError(f"{self.kind} needs p >= 2")
-        elif self.kind in ("E3", "E6"):
-            if self.p is not None or self.combo is not None:
-                raise ValueError(f"{self.kind} takes no parameters")
-        elif self.kind in ("QuarticMin", "QuinticMin", "Custom"):
-            if self.combo is None:
-                raise ValueError(f"{self.kind} needs a cusp combination")
-            want = {"QuarticMin": 4, "QuinticMin": 5}.get(self.kind)
-            if want is not None and self.combo.degree != want:
-                raise ValueError(f"{self.kind} wants degree {want}")
-            if self.kind == "Custom" and self.modes is None:
-                raise ValueError("Custom needs explicit modes")
-        else:
-            raise ValueError(f"unknown cap kind {self.kind!r}")
-
-    def resolved_combo(self) -> CuspCombo:
-        if self.kind == "A_p":
-            return CuspCombo(self.p + 1, (CuspType(self.p, self.p + 1),))
-        if self.kind == "B_p":
-            return CuspCombo(2 * self.p, (CuspType(self.p, 4 * self.p - 1),))
-        if self.kind == "E3":
-            return CuspCombo(8, (CuspType(3, 22),))
-        if self.kind == "E6":
-            return CuspCombo(16, (CuspType(6, 43),))
-        return self.combo
-
-    def cusp_modes(self) -> tuple[str, ...]:
-        if self.kind in ("A_p", "B_p"):
-            return ("nc",)
-        if self.kind == "E3":
-            return ("min",)
-        if self.kind == "E6":
-            return ("min+3",)
-        if self.kind == "Custom":
-            return self.modes
-        cusps = tuple((c.p, c.q) for c in self.combo.cusps)
-        if self.kind == "QuinticMin" and all(p == 2 for p, _ in cusps):
-            return ("min",) * len(cusps)
-        table = _QUARTIC_MODES if self.kind == "QuarticMin" else _QUINTIC_MODES
-        if cusps in table:
-            return table[cusps]
-        raise ValueError(f"no stock cap modes for {self.combo}")
 
 
-def build_cap(recipe: CapRecipe) -> PlumbingGraph:
-    """Build the recipe's plumbing graph with the root at +1."""
-    combo = recipe.resolved_combo()
-    surf, handles = _build(combo, recipe.cusp_modes())
-    handle = handles[0]
-    while surf.eulers[0] > 1:
-        if handle.order != 1 or handle.third is not None:
-            raise ValueError("cap recipe strands a tangency above +1")
-        handle = _advance(surf, 0, handle)
-    if surf.eulers[0] != 1:
-        raise ValueError(f"cap recipe overshoots +1 (got {surf.eulers[0]})")
-    return surf.freeze(root=0)
-
-
-def cap_for_combo(combo: CuspCombo) -> Optional[CapRecipe]:
-    """Stock recipe for a combination, or None if we do not know one."""
-    d = combo.degree
-    if d == 4:
-        return CapRecipe("QuarticMin", combo=combo)
-    if d == 5:
-        return CapRecipe("QuinticMin", combo=combo)
+def _stock_modes(combo: CuspCombo) -> Optional[tuple[str, ...]]:
+    # blow-ups left once every cusp is minimally resolved, the curve then
+    # sitting at d^2 - sum of squared multiplicities
+    drop = sum(m * m for c in combo.cusps for m in c.mult_seq())
+    spare = combo.degree**2 - drop - 1
+    if spare == 0:
+        return ("min",) * len(combo.cusps)
     if len(combo.cusps) == 1:
-        return named_cap(combo.cusps[0], d)
-    return None
+        return (f"min+{spare}",)
+    return _SPARE_MODES.get(tuple((c.p, c.q) for c in combo.cusps))
+
+
+def family_cap(kind: str, p: Optional[int] = None) -> CapRecipe:
+    """The cap of a named family, A_p or B_p (p >= 2), E3 or E6: the
+    family's one cusp on its curve, resolved to +1."""
+    if kind in ("A_p", "B_p"):
+        if p is None or p < 2:
+            raise ValueError(f"{kind} needs p >= 2")
+        if kind == "A_p":
+            degree, cusp = p + 1, CuspType(p, p + 1)
+        else:
+            degree, cusp = 2 * p, CuspType(p, 4 * p - 1)
+    elif kind in ("E3", "E6"):
+        if p is not None:
+            raise ValueError(f"{kind} takes no parameter")
+        degree, cusp = (8, CuspType(3, 22)) if kind == "E3" else (16, CuspType(6, 43))
+    else:
+        raise ValueError(f"unknown cap family {kind!r}")
+    combo = CuspCombo(degree, (cusp,))
+    return CapRecipe(kind, combo, _stock_modes(combo), p)
 
 
 def named_cap(c: CuspType, degree: int) -> Optional[CapRecipe]:
-    """The named family (A_p, B_p, E3, E6) whose cap resolves the single
-    cusp c on a curve of this degree, or None."""
-    if (c.p, c.q) == (degree - 1, degree):
-        return CapRecipe("A_p", p=degree - 1)
-    if degree == 2 * c.p and c.q == 4 * c.p - 1:
-        return CapRecipe("B_p", p=c.p)
-    if (degree, c.p, c.q) == (8, 3, 22):
-        return CapRecipe("E3")
-    if (degree, c.p, c.q) == (16, 6, 43):
-        return CapRecipe("E6")
+    """The named family whose cap resolves the single cusp c on a curve
+    of this degree, or None."""
+    for recipe in (
+        family_cap("A_p", degree - 1),
+        family_cap("B_p", c.p),
+        family_cap("E3"),
+        family_cap("E6"),
+    ):
+        if (recipe.combo.degree, recipe.combo.cusps) == (degree, (c,)):
+            return recipe
     return None
+
+
+def cap_for_combo(combo: CuspCombo) -> Optional[CapRecipe]:
+    """Stock cap for a combination, or None if we know none: stock modes
+    on degrees 4 and 5, a named family for a single cusp elsewhere."""
+    kind = {4: "QuarticMin", 5: "QuinticMin"}.get(combo.degree)
+    if kind is None:
+        if len(combo.cusps) != 1:
+            return None
+        return named_cap(combo.cusps[0], combo.degree)
+    modes = _stock_modes(combo)
+    return None if modes is None else CapRecipe(kind, combo, modes)
+
+
+def build_cap(recipe: CapRecipe) -> PlumbingGraph:
+    """The curve resolution of the recipe; ValueError unless the curve
+    lands at +1."""
+    g = curve_resolution(recipe.combo, recipe.modes)
+    if g.eulers[g.root] != 1:
+        raise ValueError(
+            f"modes {list(recipe.modes)} leave {recipe.combo} at "
+            f"{g.eulers[g.root]:+d}, not +1"
+        )
+    return g

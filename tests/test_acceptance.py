@@ -19,11 +19,11 @@ from cuspatlas.lattice import (
 )
 from cuspatlas.lens import LensSpace, excess_one_strings, fibonacci_boundary, wahl_family
 from cuspatlas.obstruct import classify_degree, is_simple_cusp
-from cuspatlas.plumbing import CapRecipe, build_cap, cap_for_combo
+from cuspatlas.plumbing import build_cap, cap_for_combo, family_cap
 
 
 def cap_graph(kind, p=None):
-    return build_cap(CapRecipe(kind, p=p))
+    return build_cap(family_cap(kind, p))
 
 
 def combo_cap(degree, *pqs):

@@ -6,6 +6,8 @@ the trace itself and cross-checked by hand against the incidence
 counts (Bezout closure pins most of them down uniquely).
 """
 
+import random
+
 import pytest
 
 from cuspatlas.blowdown import (
@@ -18,8 +20,8 @@ from cuspatlas.blowdown import (
     catalog_lookup,
 )
 from cuspatlas.cusp import CuspCombo, CuspType, enumerate_combos
-from cuspatlas.lattice import enumerate_embeddings
-from cuspatlas.plumbing import CapRecipe, build_cap, cap_for_combo
+from cuspatlas.lattice import Embedding, HClass, enumerate_embeddings
+from cuspatlas.plumbing import build_cap, cap_for_combo, family_cap
 
 
 def fp(degrees, nodes, labels=None):
@@ -37,7 +39,7 @@ def trace_combo(degree, *pqs):
 
 
 def family_traces(kind, p=None):
-    graph = build_cap(CapRecipe(kind, p=p))
+    graph = build_cap(family_cap(kind, p))
     return [blow_down_trace(e) for e in enumerate_embeddings(graph)]
 
 
@@ -276,6 +278,38 @@ def test_trace_is_deterministic():
     one = [f.to_dict() for f in trace_combo(4, (2, 3), (2, 3), (2, 3))]
     two = [f.to_dict() for f in trace_combo(4, (2, 3), (2, 3), (2, 3))]
     assert one == two
+
+
+def relabelled(emb, rng):
+    """The same embedding with its exceptional indices permuted."""
+    perm = list(range(emb.n_used))
+    rng.shuffle(perm)
+    classes = tuple(
+        HClass.make(c.a0, {perm[i]: x for i, x in c.coeffs}) for c in emb.classes
+    )
+    return Embedding(emb.graph, classes, emb.n_used)
+
+
+def test_index_labels_do_not_change_summaries_or_verdicts():
+    recipes = (
+        [family_cap("A_p", p) for p in range(2, 11)]
+        + [family_cap("B_p", p) for p in range(2, 7)]
+        + [family_cap("E3"), family_cap("E6")]
+        + [cap_for_combo(c) for d in (3, 4, 5) for c in enumerate_combos(d)]
+    )
+    rng = random.Random(5)
+    seen = 0
+    for recipe in recipes:
+        for emb in enumerate_embeddings(build_cap(recipe)):
+            base = blow_down_trace(emb)
+            entry = catalog_lookup(base)
+            for _ in range(8):
+                other = blow_down_trace(relabelled(emb, rng))
+                again = catalog_lookup(other)
+                assert other.summary() == base.summary(), recipe
+                assert (again.pattern, again.status) == (entry.pattern, entry.status)
+                seen += 1
+    assert seen == 8 * 68
 
 
 # ------------------------------------------------- one-cusp families

@@ -13,7 +13,6 @@ from cuspatlas.cf import (
     enumerate_zero_strings,
     excess,
     fib,
-    is_zero_string,
 )
 
 
@@ -76,7 +75,7 @@ def test_eval_agrees_with_oracle_small():
     for length in range(5):
         for seq in product(range(1, 4), repeat=length):
             assert continuant_value(seq) == eval_oracle(seq)
-            assert is_zero_string(seq) == (eval_oracle(seq) == 0)
+            assert (continuant(seq) == 0) == (eval_oracle(seq) == 0)
 
 
 @given(coprime_pairs)
@@ -154,7 +153,7 @@ def test_zero_strings_lexicographic_and_valid(bounds):
     found = enumerate_zero_strings(bounds)
     assert found == sorted(found)
     for m in found:
-        assert is_zero_string(m)
+        assert continuant(m) == 0
         assert all(1 <= mi <= ni for mi, ni in zip(m, bounds))
 
 

@@ -86,6 +86,26 @@ def test_cap_accepts_combo_spec():
     assert graph["eulers"][graph["root"]] == 1
 
 
+@pytest.mark.parametrize(
+    "spec, combo",
+    [
+        (("A", "3"), "3,4"),
+        (("B", "2"), "2,7"),
+        (("E6",), "6,43"),
+        (("2,3+2,5",), "2,3+2,5"),
+        (("3,4+3,4",), "3,4+3,4"),
+    ],
+)
+def test_cap_modes_rebuild_the_cap_through_resolve(spec, combo):
+    _, cap = run_json("cap", *spec)  # exit 2 for (3,4)+(3,4): a gate fails
+    modes = cap["results"]["cap"]["modes"]
+    code, res = run_json("resolve", combo, "--modes", ",".join(modes))
+    assert code == 0
+    assert res["inputs"]["combo"] == cap["results"]["cap"]["combo"]
+    assert res["results"]["central_weight"] == 1
+    assert res["results"]["graph"] == cap["results"]["graph"]
+
+
 def test_embed_counts_and_dets():
     code, rep = run_json("embed", "B", "2")
     assert code == 0 and rep["results"]["count"] == 3

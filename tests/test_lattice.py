@@ -22,11 +22,11 @@ from cuspatlas.lattice import (
     parse_class,
 )
 from cuspatlas.obstruct import riemann_hurwitz_verdict
-from cuspatlas.plumbing import CapRecipe, PlumbingGraph, build_cap, cap_for_combo
+from cuspatlas.plumbing import PlumbingGraph, build_cap, cap_for_combo, family_cap
 
 
 def cap(kind, p=None):
-    return build_cap(CapRecipe(kind, p=p))
+    return build_cap(family_cap(kind, p))
 
 
 def combo_cap(degree, *pqs):

@@ -9,10 +9,10 @@ from cuspatlas.cusp import CuspCombo, CuspType, enumerate_combos
 from cuspatlas.plumbing import (
     CapRecipe,
     PlumbingGraph,
-    blow_up,
     build_cap,
     cap_for_combo,
     curve_resolution,
+    family_cap,
     nc_resolution,
 )
 
@@ -55,7 +55,7 @@ def chain_graph(weights):
 
 
 def test_a2_frozen():
-    g = build_cap(CapRecipe("A_p", p=2))
+    g = build_cap(family_cap("A_p", 2))
     assert g.n == 6
     assert g.eulers == (1, -3, -2, -2, -2, -1)
     assert g.edges == ((0, 5, 1), (1, 3, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1))
@@ -64,7 +64,7 @@ def test_a2_frozen():
 
 
 def test_a3_star_shape():
-    g = build_cap(CapRecipe("A_p", p=3))
+    g = build_cap(family_cap("A_p", 3))
     c = the_center(g)
     assert g.eulers[c] == -2
     assert star_legs(g, c) == [(-4,), (-2, -2), (-2, -2, -1, 1)]
@@ -72,7 +72,7 @@ def test_a3_star_shape():
 
 @pytest.mark.parametrize("p", range(2, 7))
 def test_ap_family(p):
-    g = build_cap(CapRecipe("A_p", p=p))
+    g = build_cap(family_cap("A_p", p))
     assert g.n == 2 * p + 2
     assert g.eulers[g.root] == 1
     c = the_center(g)
@@ -84,7 +84,7 @@ def test_ap_family(p):
 
 @pytest.mark.parametrize("p", range(2, 6))
 def test_bp_family(p):
-    g = build_cap(CapRecipe("B_p", p=p))
+    g = build_cap(family_cap("B_p", p))
     assert g.n == 2 * p + 3
     assert g.eulers[g.root] == 1
     c = the_center(g)
@@ -95,7 +95,7 @@ def test_bp_family(p):
 
 
 def test_e3_frozen():
-    g = build_cap(CapRecipe("E3"))
+    g = build_cap(family_cap("E3"))
     assert g.n == 8
     assert g.eulers == (1, -2, -2, -2, -2, -2, -2, -1)
     # order three contact between the curve and the last exceptional
@@ -104,7 +104,7 @@ def test_e3_frozen():
 
 
 def test_e6_frozen():
-    g = build_cap(CapRecipe("E6"))
+    g = build_cap(family_cap("E6"))
     assert g.n == 11
     assert g.eulers == (1, -2, -2, -2, -2, -2, -2, -4, -2, -2, -1)
     assert (0, 7, 3) in g.edges
@@ -119,7 +119,7 @@ def quintic(*cs):
 
 
 def test_quintic_cap_3525_frozen():
-    g = build_cap(CapRecipe("QuinticMin", combo=quintic((2, 5), (3, 5))))
+    g = build_cap(cap_for_combo(quintic((2, 5), (3, 5))))
     assert g.eulers == (1, -2, -2, -1, -3, -3, -2, -1)
     assert g.corners == ((0, 2, 3),)
     assert g.edges == (
@@ -129,13 +129,13 @@ def test_quintic_cap_3525_frozen():
 
 
 def test_quintic_cap_3427_frozen():
-    g = build_cap(CapRecipe("QuinticMin", combo=quintic((2, 7), (3, 4))))
+    g = build_cap(cap_for_combo(quintic((2, 7), (3, 4))))
     assert g.eulers == (1, -2, -2, -2, -1, -3, -2, -1)
     assert g.corners == ((0, 3, 4), (0, 5, 7))
 
 
 def test_quintic_cap_tangent_conic_shape():
-    g = build_cap(CapRecipe("QuinticMin", combo=quintic((2, 5), (2, 5), (2, 5))))
+    g = build_cap(cap_for_combo(quintic((2, 5), (2, 5), (2, 5))))
     assert g.eulers == (1, -2, -1, -2, -1, -2, -1)
     assert g.edges == (
         (0, 2, 2), (0, 4, 2), (0, 6, 2), (1, 2, 1), (3, 4, 1), (5, 6, 1),
@@ -144,13 +144,13 @@ def test_quintic_cap_tangent_conic_shape():
 
 
 def test_quintic_cap_32_2_2_frozen():
-    g = build_cap(CapRecipe("QuinticMin", combo=quintic((2, 3), (2, 3), (3, 5))))
+    g = build_cap(cap_for_combo(quintic((2, 3), (2, 3), (3, 5))))
     assert g.eulers == (1, -2, -1, -2, -1, -3, -2, -1)
     assert g.corners == ((0, 1, 2), (0, 3, 4), (0, 6, 7))
 
 
 def test_quintic_cap_34_2_2_2_frozen():
-    g = build_cap(CapRecipe("QuinticMin", combo=quintic((2, 3), (2, 3), (2, 3), (3, 4))))
+    g = build_cap(cap_for_combo(quintic((2, 3), (2, 3), (2, 3), (3, 4))))
     assert g.eulers == (1, -2, -1, -2, -1, -2, -1, -1)
     assert (0, 7, 3) in g.edges
     assert g.corners == ((0, 1, 2), (0, 3, 4), (0, 5, 6))
@@ -201,40 +201,9 @@ def test_curve_resolution_tracks_self_intersection():
         assert g.eulers[0] == d * d - drop
 
 
-def test_blow_up_edge_and_corner():
-    g = build_cap(CapRecipe("QuinticMin", combo=quintic((2, 5), (2, 5), (2, 5))))
-    # blowing up an order two contact leaves the pair through a common
-    # point on the new curve
-    g2 = blow_up(g, (0, 2))
-    assert g2.n == g.n + 1
-    assert (0, 2, 7) in g2.corners
-    assert g2.pairing(0, 2) == 1
-    assert g2.det() == -g.det()
-    # blowing up the resulting triple point separates all three curves
-    g3 = blow_up(g2, (0, 2, 7))
-    assert g3.corners == ()
-    assert g3.pairing(0, 2) == 0
-    assert g3.det() == g.det()
-
-
-def test_blow_up_free_point():
-    g = build_cap(CapRecipe("A_p", p=2))
-    g2 = blow_up(g, 0)
-    assert g2.n == 7
-    assert g2.eulers[0] == 0
-    assert g2.pairing(0, 6) == 1
-    assert g2.det() == -g.det()
-
-
-def test_blow_up_unknown_point():
-    g = build_cap(CapRecipe("A_p", p=2))
-    with pytest.raises(ValueError):
-        blow_up(g, (1, 5))
-
-
 def test_dot_output_frozen_and_deterministic():
-    g = build_cap(CapRecipe("A_p", p=2))
-    again = build_cap(CapRecipe("A_p", p=2))
+    g = build_cap(family_cap("A_p", 2))
+    again = build_cap(family_cap("A_p", 2))
     assert g.to_dot() == again.to_dot()
     assert g.to_dot() == (
         "graph plumbing {\n"
@@ -254,7 +223,7 @@ def test_dot_output_frozen_and_deterministic():
 
 
 def test_dot_marks_tangency_and_corner():
-    g = build_cap(CapRecipe("E6"))
+    g = build_cap(family_cap("E6"))
     dot = g.to_dot()
     assert "v0 -- v7 [label=3];" in dot
     assert "// corner v0 v7 v10" in dot
@@ -262,25 +231,53 @@ def test_dot_marks_tangency_and_corner():
 
 def test_recipe_validation():
     with pytest.raises(ValueError):
-        CapRecipe("A_p")
+        family_cap("A_p")
     with pytest.raises(ValueError):
-        CapRecipe("A_p", p=1)
+        family_cap("A_p", 1)
     with pytest.raises(ValueError):
-        CapRecipe("QuarticMin", combo=quintic((4, 5)))
+        family_cap("E3", 2)
     with pytest.raises(ValueError):
-        CapRecipe("Nope")
+        family_cap("Nope")
+    # no stock cap: several cusps off degrees 4 and 5, or an unnamed cusp
+    assert cap_for_combo(CuspCombo(6, (CuspType(2, 3), CuspType(3, 10)))) is None
+    assert cap_for_combo(CuspCombo(7, (CuspType(2, 31),))) is None
 
 
 def test_recipe_that_strands_a_tangency():
+    # stopping at the smooth branch leaves the curve tangent at +7
     combo = CuspCombo(4, (CuspType(3, 4),))
-    with pytest.raises(ValueError, match="strands"):
-        build_cap(CapRecipe("Custom", combo=combo, modes=("min",)))
+    with pytest.raises(ValueError, match=r"at \+7, not \+1"):
+        build_cap(CapRecipe("QuarticMin", combo, ("min",)))
 
 
 def test_recipe_that_overshoots():
     combo = CuspCombo(4, (CuspType(2, 3), CuspType(2, 5)))
-    with pytest.raises(ValueError, match="overshoots"):
-        build_cap(CapRecipe("Custom", combo=combo, modes=("nc", "nc")))
+    with pytest.raises(ValueError, match=r"at \+0, not \+1"):
+        build_cap(CapRecipe("QuarticMin", combo, ("nc", "nc")))
+
+
+def test_every_cap_is_its_own_curve_resolution():
+    recipes = (
+        [family_cap("A_p", p) for p in range(2, 31)]
+        + [family_cap("B_p", p) for p in range(2, 11)]
+        + [family_cap("E3"), family_cap("E6")]
+        + [cap_for_combo(c) for d in range(3, 8) for c in enumerate_combos(d)]
+    )
+    recipes = [r for r in recipes if r is not None]
+    assert len(recipes) == 67
+    for r in recipes:
+        g = build_cap(r)
+        assert g == curve_resolution(r.combo, r.modes)
+        assert g.eulers[g.root] == 1
+
+
+def test_single_cusp_caps_spend_every_spare_blowup_at_the_end():
+    assert family_cap("A_p", 3).modes == ("min+6",)
+    assert family_cap("B_p", 2).modes == ("min+3",)
+    assert family_cap("E3").modes == ("min",)
+    assert family_cap("E6").modes == ("min+3",)
+    assert cap_for_combo(quintic((2, 13))).modes == ("min",)
+    assert cap_for_combo(quintic((2, 5), (2, 5), (2, 5))).modes == ("min",) * 3
 
 
 def test_graph_validation():
