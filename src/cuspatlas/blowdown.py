@@ -22,6 +22,7 @@ known core one line at a time.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, Optional, Sequence
@@ -180,15 +181,20 @@ class ConfigFingerprint:
             n = self.nodes[i]
             return {
                 "mults": {self.labels[c]: m for c, m in sorted(n.mults.items())},
-                "children": [node_dict(j) for j in self.children(i)],
+                "children": canonical(self.children(i)),
             }
+
+        def canonical(ids: list[int]) -> list[dict]:
+            # node ids follow the exceptional index labels; serialised
+            # subtrees do not
+            return sorted((node_dict(i) for i in ids), key=json.dumps)
 
         return {
             "components": [
                 {"label": lab, "degree": d}
                 for lab, d in zip(self.labels, self.degrees)
             ],
-            "clusters": [node_dict(r) for r in self.roots()],
+            "clusters": canonical(self.roots()),
         }
 
     def summary(self) -> str:

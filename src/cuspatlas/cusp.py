@@ -5,11 +5,20 @@ x^p = y^q.  The classification machinery needs its multiplicity
 sequence, delta invariant, semigroup counting function, and the
 semigroup condition on collections of cusps sharing a plane curve of
 given degree (the Riemann-Hurwitz gate lives in the obstruct module).
+
+The counting function R(n) = #(<p,q> in [0, n)) is n - G(n), where the
+gap count G(n) = #(gaps of <p,q> in [0, n)) is nondecreasing and equals
+delta from the conductor c = (p-1)(q-1) on.  So the min-convolution of
+the R's of a combo is n minus the max-plus convolution H of the G's: a
+table of length sum(c) + 1 = (d-1)(d-2) + 1 at degree d, past whose end
+R(n) = n - genus.  Each combo builds H once, on first use, and every
+gate point reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from math import gcd
 from typing import Optional
 
@@ -41,16 +50,22 @@ class CuspType:
     def mult_seq(self) -> MultSeq:
         return mult_seq(self.p, self.q)
 
-    def semigroup_counts(self, upto: int) -> list[int]:
-        """R(n) = #(semigroup <p,q> in [0, n)) for n = 0 .. upto."""
-        member = [False] * max(upto, 1)
-        for a in range(0, max(upto, 1), self.p):
-            for b in range(a, max(upto, 1), self.q):
+    @property
+    def conductor(self) -> int:
+        return (self.p - 1) * (self.q - 1)
+
+    def gap_counts(self) -> list[int]:
+        """G(n) = #(gaps of <p,q> in [0, n)) for n = 0 .. conductor;
+        G(n) = delta beyond, and R(n) = n - G(min(n, conductor))."""
+        c = self.conductor
+        member = [False] * c
+        for a in range(0, c, self.p):
+            for b in range(a, c, self.q):
                 member[b] = True
         counts = [0]
-        for n in range(upto):
-            counts.append(counts[-1] + (1 if member[n] else 0))
-        return counts[: upto + 1]
+        for n in range(c):
+            counts.append(counts[-1] + (0 if member[n] else 1))
+        return counts
 
     def __str__(self) -> str:
         return f"({self.p},{self.q})"
@@ -100,6 +115,21 @@ def ms_recognize(seq: MultSeq) -> Optional[CuspType]:
     return CuspType(p, q)
 
 
+def _max_plus(head: list[int], g: list[int]) -> list[int]:
+    """max_k head(n - k) + g(k) for n = 0 .. len(head) - 1 + c, where g is
+    a gap count table G(0 .. c) and head is held at its last value past
+    its end.  For fixed n the head term does not grow with k, so on each
+    run of constant g only its first k counts: k = 0 and each rise."""
+    c = len(g) - 1
+    out = head + [head[-1]] * c
+    for k in range(1, c + 1):
+        if g[k] > g[k - 1]:
+            i = g[k]
+            shifted = [h + i for h in head] + [head[-1] + i] * (c - k)
+            out[k:] = map(max, out[k:], shifted)
+    return out
+
+
 @dataclass(frozen=True)
 class CuspCombo:
     """A collection of cusps on a rational plane curve of degree d.
@@ -131,6 +161,12 @@ class CuspCombo:
     def multi_sequence(self) -> tuple[MultSeq, ...]:
         return tuple(c.mult_seq() for c in self.cusps)
 
+    @cached_property
+    def gap_table(self) -> list[int]:
+        """H(0 .. sum c), the max-plus convolution of the cusps' gap
+        counts; it lives as long as this combo."""
+        return reduce(_max_plus, (c.gap_counts() for c in self.cusps), [0])
+
     def __str__(self) -> str:
         return "+".join(str(c) for c in self.cusps) + f" deg {self.degree}"
 
@@ -138,18 +174,14 @@ class CuspCombo:
 def combo_R(combo: CuspCombo, n: int) -> int:
     """Minimum convolution of the per-cusp counting functions at n.
 
-    (R1 <> R2)(n) = min_k R1(k) + R2(n-k); since each R is 0 on
-    nonpositives and nondecreasing, k ranges over [0, n].
+    (R1 <> R2)(n) = min_k R1(k) + R2(n-k) over k in [0, n], 0 for n <= 0.
+    With R = n - G this is n - H(n), read off the combo's `gap_table` H,
+    of length (d-1)(d-2) + 1 and held at its last value past its end.
     """
     if n <= 0:
         return 0
-    tables = [c.semigroup_counts(n) for c in combo.cusps]
-    acc = tables[0]
-    for table in tables[1:]:
-        acc = [
-            min(acc[k] + table[m - k] for k in range(m + 1)) for m in range(n + 1)
-        ]
-    return acc[n]
+    h = combo.gap_table
+    return n - h[min(n, len(h) - 1)]
 
 
 def semigroup_condition(combo: CuspCombo) -> Optional[int]:

@@ -7,12 +7,13 @@ import time
 from fractions import Fraction
 from math import gcd
 
+from area_lp import area_feasible
+
 from cuspatlas.blowdown import blow_down_trace, catalog_lookup
 from cuspatlas.cf import cf_dual, cf_expand, continuant, fib
 from cuspatlas.cusp import CuspCombo, CuspType, enumerate_combos, ms_recognize
 from cuspatlas.lattice import (
     ambient_form,
-    area_feasible,
     complement_form,
     enumerate_embeddings,
     parse_class,

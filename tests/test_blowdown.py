@@ -307,6 +307,7 @@ def test_index_labels_do_not_change_summaries_or_verdicts():
                 other = blow_down_trace(relabelled(emb, rng))
                 again = catalog_lookup(other)
                 assert other.summary() == base.summary(), recipe
+                assert other.to_dict() == base.to_dict(), recipe
                 assert (again.pattern, again.status) == (entry.pattern, entry.status)
                 seen += 1
     assert seen == 8 * 68

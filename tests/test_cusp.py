@@ -1,7 +1,7 @@
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspatlas.cusp import (
@@ -16,7 +16,7 @@ from cuspatlas.cusp import (
     semigroup_condition,
     unicuspidal_families,
 )
-from cuspatlas.obstruct import riemann_hurwitz_verdict
+from cuspatlas.obstruct import riemann_hurwitz_verdict, semigroup_verdict
 
 cusp_pairs = st.integers(2, 12).flatmap(
     lambda p: st.tuples(
@@ -34,6 +34,49 @@ def semigroup_oracle(p, q, upto):
             if a * p + b * q < upto:
                 members.add(a * p + b * q)
     return members
+
+
+def semigroup_R(c, n):
+    """R(n) = n - G(min(n, conductor)), read off the cusp's gap table."""
+    return n - c.gap_counts()[min(n, c.conductor)]
+
+
+def semigroup_counts_oracle(c, upto):
+    """R(n) for n = 0 .. upto, from semigroup membership."""
+    member = [False] * max(upto, 1)
+    for a in range(0, max(upto, 1), c.p):
+        for b in range(a, max(upto, 1), c.q):
+            member[b] = True
+    counts = [0]
+    for n in range(upto):
+        counts.append(counts[-1] + (1 if member[n] else 0))
+    return counts[: upto + 1]
+
+
+def min_convolution_oracle(cusps, n):
+    """(R1 <> R2 <> ...)(n), the min-convolution rebuilt from scratch:
+    min_k R1(k) + R2(n-k) over k in [0, n], 0 for n <= 0."""
+    if n <= 0:
+        return 0
+    tables = [semigroup_counts_oracle(c, n) for c in cusps]
+    acc = tables[0]
+    for table in tables[1:]:
+        acc = [
+            min(acc[k] + table[m - k] for k in range(m + 1)) for m in range(n + 1)
+        ]
+    return acc[n]
+
+
+def semigroup_witness_oracle(combo):
+    """The first failing j of the Borodzik-Livingston gate with its
+    witness, or None, from the min-convolution oracle."""
+    d = combo.degree
+    for j in range(-1, d - 1):
+        got = min_convolution_oracle(combo.cusps, j * d + 1)
+        want = (j + 1) * (j + 2) // 2
+        if got != want:
+            return {"j": j, "argument": j * d + 1, "value": got, "required": want}
+    return None
 
 
 def test_mult_seq_frozen():
@@ -91,10 +134,10 @@ def test_delta_milnor():
 
 
 def test_semigroup_R_frozen():
-    assert CuspType(4, 5).semigroup_counts(6)[6] == 3  # {0, 4, 5}
-    assert CuspType(3, 7).semigroup_counts(6)[6] == 2  # {0, 3}
-    assert CuspType(2, 3).semigroup_counts(1)[1] == 1
-    assert CuspType(2, 3).semigroup_counts(0)[0] == 0
+    assert semigroup_R(CuspType(4, 5), 6) == 3  # {0, 4, 5}
+    assert semigroup_R(CuspType(3, 7), 6) == 2  # {0, 3}
+    assert semigroup_R(CuspType(2, 3), 1) == 1
+    assert semigroup_R(CuspType(2, 3), 0) == 0
     # the min-convolution is zero on nonpositive arguments
     assert combo_R(CuspCombo(3, (CuspType(2, 3),)), -3) == 0
 
@@ -102,7 +145,7 @@ def test_semigroup_R_frozen():
 @given(cusp_pairs, st.integers(0, 120))
 def test_semigroup_R_against_oracle(pq, n):
     p, q = pq
-    assert CuspType(p, q).semigroup_counts(n)[n] == len(semigroup_oracle(p, q, n))
+    assert semigroup_R(CuspType(p, q), n) == len(semigroup_oracle(p, q, n))
 
 
 @given(cusp_pairs)
@@ -110,8 +153,10 @@ def test_semigroup_R_stabilizes_past_conductor(pq):
     p, q = pq
     c = CuspType(p, q)
     # beyond the conductor 2*delta every integer is in the semigroup
+    assert c.conductor == 2 * c.delta
+    assert len(c.gap_counts()) == c.conductor + 1
     for n in (2 * c.delta, 2 * c.delta + 1, 2 * c.delta + 17):
-        assert c.semigroup_counts(n)[n] == n - c.delta
+        assert semigroup_R(c, n) == n - c.delta
 
 
 def test_combo_validation():
@@ -125,7 +170,52 @@ def test_combo_validation():
 def test_combo_R_single_matches_semigroup_R():
     combo = CuspCombo(5, (CuspType(4, 5),))
     for n in range(0, 17):
-        assert combo_R(combo, n) == CuspType(4, 5).semigroup_counts(n)[n]
+        assert combo_R(combo, n) == semigroup_R(CuspType(4, 5), n)
+
+
+@st.composite
+def random_combos(draw):
+    """A genus-balanced cusp multiset at a random degree 3..7, cusp by
+    cusp from every type whose delta still fits."""
+    degree = draw(st.integers(3, 7))
+    remaining = (degree - 1) * (degree - 2) // 2
+    cusps = []
+    while remaining:
+        fits = [c for k in range(1, remaining + 1) for c in cusp_types_with_delta(k)]
+        cusps.append(draw(st.sampled_from(fits)))
+        remaining -= cusps[-1].delta
+    return CuspCombo(degree, tuple(cusps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_combos())
+def test_gap_table_matches_the_min_convolution(combo):
+    total = sum(c.conductor for c in combo.cusps)
+    assert total == (combo.degree - 1) * (combo.degree - 2)
+    assert len(combo.gap_table) == total + 1
+    for n in range(-5, total + 6):
+        assert combo_R(combo, n) == min_convolution_oracle(combo.cusps, n), n
+    # past the end of the table, R(n) = n - genus
+    assert combo_R(combo, total + 5) == total + 5 - total // 2
+
+
+def test_gate_and_witness_match_the_oracle_through_degree_7():
+    combos = [c for d in range(4, 8) for c in enumerate_combos(d)]
+    want = [semigroup_witness_oracle(c) for c in combos]
+    for combo, w in zip(combos, want):
+        v = semigroup_verdict(combo)
+        assert v.witness == w, combo
+        assert v.failed == (w is not None)
+        assert semigroup_condition(combo) == (None if w is None else w["j"])
+    assert sum(w is None for w in want) == 4 + 17 + 57 + 171
+
+
+def test_semigroup_pass_counts_frozen():
+    # the degree-9 count was checked once against the min-convolution oracle
+    for degree, passed, total in ((8, 778, 4704), (9, 1545, 37135)):
+        combos = enumerate_combos(degree)
+        assert len(combos) == total
+        assert sum(semigroup_condition(c) is None for c in combos) == passed
 
 
 def test_semigroup_condition_frozen():

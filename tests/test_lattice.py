@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from area_lp import area_feasible
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,6 @@ from cuspatlas.lattice import (
     adjunction_profiles,
     ambient,
     ambient_form,
-    area_feasible,
     canonical_class,
     complement_form,
     enumerate_embeddings,

@@ -216,3 +216,12 @@ def test_record_is_json_and_deterministic(quintic):
     a = run_pipeline(combo(5, (2, 5), (2, 9))).to_dict()
     b = run_pipeline(combo(5, (2, 5), (2, 9))).to_dict()
     assert a == b
+
+
+def test_a_repeated_census_gives_the_same_records():
+    # the gate's gap tables live with each call's combos, so a second
+    # call in the same process builds them again and must agree with the
+    # first, and both with combos gated one at a time
+    first = [r.to_dict() for r in classify_degree(6)]
+    assert [r.to_dict() for r in classify_degree(6)] == first
+    assert [run_pipeline(c).to_dict() for c in enumerate_combos(6)] == first

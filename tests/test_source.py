@@ -21,3 +21,26 @@ def test_no_check_that_optimisation_strips():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_no_memo_that_outlives_a_request():
+    # a process-lifetime cache would make a repeated request measure
+    # cache hits, so src/ names neither functools.cache nor lru_cache,
+    # whether as a decorator, a call or an import.  This is a narrow
+    # lint: a hand-rolled module-level dict passes it.  Memos that go
+    # with their object (functools.cached_property) are allowed.
+    banned = {"cache", "lru_cache"}
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = {a.name for a in node.names}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            if banned & names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
