@@ -9,16 +9,18 @@ unrealizable answer so shell pipelines can branch on it, 1 is a usage
 error, and 3 an internal error (a broken invariant of the engine).
 A reader that closes stdout early, as `| head` does, cuts the output
 short without a traceback; the status stays the command's own.
+The --json text is that of json.dumps(report, indent=2), built by a
+direct writer (`_json_text`) that refuses non-JSON values with exit 3.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
 from itertools import combinations
+from json.encoder import encode_basestring_ascii as _quote
 from math import isqrt
 from typing import Optional, Sequence
 
@@ -127,6 +129,68 @@ def _report(command: str, inputs: dict, results: dict, provenance=()) -> dict:
         "provenance": sorted(set(provenance)),
         "version": __version__,
     }
+
+
+def _json_text(report) -> str:
+    """The text of json.dumps(report, indent=2), written directly.
+
+    With an indent, json runs its pure-Python encoder; this builds the
+    same characters in one list.  Reports are exact, so a float, a set,
+    a non-str key or any other non-JSON value is an engine fault and
+    raises RuntimeError.
+    """
+    out: list[str] = []
+    _write_json(report, "\n", out)
+    return "".join(out)
+
+
+def _write_json(o, nl: str, out: list[str]) -> None:
+    """Append the JSON of o, whose own line starts after nl."""
+    t = type(o)
+    if t is dict:
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        head = "{" + inner
+        for k, v in o.items():
+            if type(k) is not str:
+                raise RuntimeError(f"report key {k!r} is a {type(k).__name__}, not a str")
+            if type(v) is str:
+                out.append(head + _quote(k) + ": " + _quote(v))
+            elif type(v) is int:
+                out.append(head + _quote(k) + ": " + int.__repr__(v))
+            else:
+                out.append(head + _quote(k) + ": ")
+                _write_json(v, inner, out)
+            head = "," + inner
+        out.append(nl + "}")
+    elif t is list or t is tuple:
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if set(map(type, o)) == {int}:
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, o)) + nl + "]")
+            return
+        head = "[" + inner
+        for x in o:
+            out.append(head)
+            _write_json(x, inner, out)
+            head = "," + inner
+        out.append(nl + "]")
+    elif t is str:
+        out.append(_quote(o))
+    elif t is int:
+        out.append(int.__repr__(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    else:
+        raise RuntimeError(f"report holds a {t.__name__}, not a JSON value")
 
 
 def _graph_dict(g: PlumbingGraph) -> dict:
@@ -492,6 +556,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.print_usage(sys.stderr)
             return 1
         report, lines, dot, code = args.func(args)
+        if args.json:
+            if dot is not None and args.dot:
+                report["results"]["dot"] = dot
+            text = _json_text(report) + "\n"
+        elif args.dot and dot is not None:
+            text = dot
+        else:
+            text = "\n".join(lines) + "\n"
     except UsageError as exc:
         print(f"atlas: error: {exc}", file=sys.stderr)
         return 1
@@ -502,14 +574,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"atlas: internal error: {exc}", file=sys.stderr)
         return 3
     try:
-        if args.json:
-            if dot is not None and args.dot:
-                report["results"]["dot"] = dot
-            print(json.dumps(report, indent=2))
-        elif args.dot and dot is not None:
-            sys.stdout.write(dot)
-        else:
-            print("\n".join(lines))
+        sys.stdout.write(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed the pipe; point stdout at devnull so that

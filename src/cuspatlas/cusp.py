@@ -216,25 +216,24 @@ def enumerate_combos(degree: int) -> list[CuspCombo]:
         # checked up front: degree d < 0 has the genus of degree 3 - d
         raise ValueError(f"degree >= 3, got {degree}")
     genus = (degree - 1) * (degree - 2) // 2
-    by_delta = {k: cusp_types_with_delta(k) for k in range(1, genus + 1)}
+    types = sorted(c for k in range(1, genus + 1) for c in cusp_types_with_delta(k))
+    deltas = [c.delta for c in types]
     results: list[tuple[CuspType, ...]] = []
 
-    def extend(remaining: int, chosen: list[CuspType], floor: CuspType | None) -> None:
+    def extend(remaining: int, chosen: list[CuspType], floor: int) -> None:
+        # cusps are chosen in nondecreasing position of the sorted types,
+        # so the tuples come out in sorted order
         if remaining == 0:
             results.append(tuple(chosen))
             return
-        for k in range(1, remaining + 1):
-            for c in by_delta[k]:
-                if floor is not None and c < floor:
-                    continue
-                chosen.append(c)
-                extend(remaining - k, chosen, c)
+        for i in range(floor, len(types)):
+            if deltas[i] <= remaining:
+                chosen.append(types[i])
+                extend(remaining - deltas[i], chosen, i)
                 chosen.pop()
 
-    extend(genus, [], None)
-    combos = [CuspCombo(degree, cs) for cs in results]
-    combos.sort(key=lambda combo: combo.cusps)
-    return combos
+    extend(genus, [], 0)
+    return [CuspCombo(degree, cs) for cs in results]
 
 
 def fibonacci_index(degree: int) -> Optional[int]:

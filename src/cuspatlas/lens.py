@@ -79,13 +79,9 @@ def filling_strings(L: LensSpace) -> List[Tuple[CFString, int]]:
     return [(m, excess(n, m)) for m in enumerate_zero_strings(n)]
 
 
-def excess_one_strings(L: LensSpace) -> List[CFString]:
-    """All excess-1 filling strings, one probe per entry."""
-    return _excess_one(bounds(L))
-
-
 def _excess_one(n: CFString) -> List[CFString]:
-    """The zero strings that lower one entry of n by 1.
+    """The excess-1 filling strings for the bounds n: the zero strings
+    that lower one entry of n by 1, one probe per entry.
 
     K is linear in each entry, and the coefficient of n_j is
     K(n[:j]) K(n[j+1:]), so lowering n_j gives the continuant

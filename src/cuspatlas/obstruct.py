@@ -75,13 +75,12 @@ def rh_instances(
     m_p2, needs 2d - 2 m_p >= 2 + sum_{q != p} (m_q - 1) + (m_p2 - 1); a
     generic pencil point off the curve needs 2d - 2 >= sum_q (m_q - 1).
     Bases: each cusp index, plus "off-curve" for the generic point."""
-    firsts = [ms[0] for ms in mult_seqs]
-    out: List[tuple[Union[int, str], int, int]] = [
-        ("off-curve", 2 * degree - 2, sum(m - 1 for m in firsts))
-    ]
+    total = sum(ms[0] - 1 for ms in mult_seqs)
+    out: List[tuple[Union[int, str], int, int]] = [("off-curve", 2 * degree - 2, total)]
     for i, ms in enumerate(mult_seqs):
         second = ms[1] if len(ms) > 1 else 1
-        rhs = 2 + sum(m - 1 for j, m in enumerate(firsts) if j != i) + (second - 1)
+        # the other cusps' terms: the total less this cusp's own m_p - 1
+        rhs = 2 + total - (ms[0] - 1) + (second - 1)
         out.append((i, 2 * degree - 2 * ms[0], rhs))
     return out
 

@@ -18,7 +18,13 @@ from cuspatlas.lattice import (
     enumerate_embeddings,
     parse_class,
 )
-from cuspatlas.lens import LensSpace, excess_one_strings, fibonacci_boundary, wahl_family
+from cuspatlas.lens import (
+    LensSpace,
+    _excess_one,
+    bounds,
+    fibonacci_boundary,
+    wahl_family,
+)
 from cuspatlas.obstruct import classify_degree, is_simple_cusp
 from cuspatlas.plumbing import build_cap, cap_for_combo, family_cap
 
@@ -121,7 +127,7 @@ def test_c5_lens_ball_strings_exact():
             if gcd(m, k) != 1:
                 continue
             L = LensSpace(m * m, m * k - 1)
-            assert len(excess_one_strings(L)) == 1, (m, k)
+            assert len(_excess_one(bounds(L))) == 1, (m, k)
             assert wahl_family(L) == (m, k)
     non_wahl = 0
     for p in range(2, 61):
@@ -131,7 +137,7 @@ def test_c5_lens_ball_strings_exact():
             L = LensSpace(p, q)
             if wahl_family(L) is None:
                 non_wahl += 1
-                assert excess_one_strings(L) == [], (p, q)
+                assert _excess_one(bounds(L)) == [], (p, q)
     elapsed = time.monotonic() - start
     assert non_wahl > 100
     assert elapsed < 30.0
@@ -205,4 +211,4 @@ def test_c8_fibonacci_family_boundaries():
         wahl = wahl_family(L)
         assert wahl is not None
         assert wahl == (fib(j), fib(j - 4))
-        assert len(excess_one_strings(L)) == 1
+        assert len(_excess_one(bounds(L))) == 1

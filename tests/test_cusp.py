@@ -281,6 +281,38 @@ def test_enumerate_combos_deterministic():
     assert enumerate_combos(5) == enumerate_combos(5)
 
 
+def enumerate_combos_oracle(degree):
+    """The enumeration by delta with a CuspType floor, then sorted."""
+    genus = (degree - 1) * (degree - 2) // 2
+    by_delta = {k: cusp_types_with_delta(k) for k in range(1, genus + 1)}
+    results = []
+
+    def extend(remaining, chosen, floor):
+        if remaining == 0:
+            results.append(tuple(chosen))
+            return
+        for k in range(1, remaining + 1):
+            for c in by_delta[k]:
+                if floor is not None and c < floor:
+                    continue
+                chosen.append(c)
+                extend(remaining - k, chosen, c)
+                chosen.pop()
+
+    extend(genus, [], None)
+    combos = [CuspCombo(degree, cs) for cs in results]
+    combos.sort(key=lambda combo: combo.cusps)
+    return combos
+
+
+def test_enumerate_combos_match_the_oracle_through_degree_8():
+    for degree in range(3, 9):
+        got, want = enumerate_combos(degree), enumerate_combos_oracle(degree)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a == b and a.cusps == b.cusps
+
+
 def test_unicuspidal_families_frozen():
     assert unicuspidal_families(5) == [CuspType(2, 13), CuspType(4, 5)]
     assert unicuspidal_families(8) == [

@@ -10,8 +10,8 @@ from test_cf import coprime_pairs, eval_oracle
 from cuspatlas.cf import continuant, excess, fib
 from cuspatlas.lens import (
     LensSpace,
+    _excess_one,
     bounds,
-    excess_one_strings,
     fibonacci_boundary,
     filling_strings,
     rational_ball_string,
@@ -73,7 +73,7 @@ def test_excess_one_iff_wahl_small_sweep():
             if gcd(p, q) != 1:
                 continue
             L = LensSpace(p, q)
-            ones = excess_one_strings(L)
+            ones = _excess_one(bounds(L))
             if wahl_family(L) is None:
                 assert ones == [], (p, q)
             else:
@@ -86,12 +86,12 @@ def test_excess_one_strings_match_the_oracle_filter(pq):
     L = LensSpace(*pq)
     n = bounds(L)
     lowered = [n[:j] + (n[j] - 1,) + n[j + 1 :] for j in range(len(n))]
-    assert excess_one_strings(L) == [m for m in lowered if eval_oracle(m) == 0]
+    assert _excess_one(bounds(L)) == [m for m in lowered if eval_oracle(m) == 0]
 
 
 def test_probes_scale_to_long_bounds():
     # 3,336 entries for L(10007, 3), 1,001 for L(10^6, 999)
-    assert excess_one_strings(LensSpace(10007, 3)) == []
+    assert _excess_one(bounds(LensSpace(10007, 3))) == []
     m = 1000
     L = LensSpace(m * m, m - 1)
     n = bounds(L)

@@ -76,6 +76,29 @@ def test_rh_bounds_monotone_under_extra_cusps(degree, seqs, extra):
         assert rhs1 >= rhs0
 
 
+def rh_instances_oracle(degree, mult_seqs):
+    """The inequalities summed over the other cusps afresh for each base."""
+    firsts = [ms[0] for ms in mult_seqs]
+    out = [("off-curve", 2 * degree - 2, sum(m - 1 for m in firsts))]
+    for i, ms in enumerate(mult_seqs):
+        second = ms[1] if len(ms) > 1 else 1
+        rhs = 2 + sum(m - 1 for j, m in enumerate(firsts) if j != i) + (second - 1)
+        out.append((i, 2 * degree - 2 * ms[0], rhs))
+    return out
+
+
+@given(st.integers(min_value=3, max_value=9), st.lists(MULT_SEQS, min_size=1, max_size=8))
+def test_rh_instances_match_the_per_cusp_sums(degree, seqs):
+    assert rh_instances(degree, seqs) == rh_instances_oracle(degree, seqs)
+
+
+def test_rh_instances_match_the_per_cusp_sums_through_degree_7():
+    for d in range(3, 8):
+        for c in enumerate_combos(d):
+            seqs = [x.mult_seq() for x in c.cusps]
+            assert rh_instances(d, seqs) == rh_instances_oracle(d, seqs), c
+
+
 def test_sextic_rule_gates_exactly_the_simple_combos():
     combos = enumerate_combos(6)
     assert len(combos) == 102
