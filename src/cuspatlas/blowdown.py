@@ -44,13 +44,6 @@ class PointNode:
     parent: Optional[int]
     mults: Dict[int, int]
 
-    def to_dict(self, labels: Sequence[str]) -> dict:
-        return {
-            "id": self.id,
-            "parent": self.parent,
-            "mults": {labels[c]: m for c, m in sorted(self.mults.items())},
-        }
-
 
 @dataclass(frozen=True)
 class ConfigFingerprint:

@@ -25,11 +25,12 @@ from math import isqrt
 from typing import Optional, Sequence
 
 from . import __version__
-from .blowdown import OBSTRUCTED, blow_down_trace, catalog_lookup
-from .cf import fib
+from .blowdown import blow_down_trace, catalog_lookup
 from .cusp import (
     CuspCombo,
     CuspType,
+    family_combo,
+    fibonacci_cusp,
     fibonacci_index,
     ms_recognize,
     unicuspidal_families,
@@ -44,7 +45,7 @@ from .lattice import (
 from .lens import LensSpace, fibonacci_boundary, rational_ball_string
 from .lens import to_dict as lens_report
 from .lens import wahl_family
-from .obstruct import arithmetic_verdicts, classify_degree
+from .obstruct import arithmetic_verdicts, cap_verdicts, classify_degree
 from .plumbing import (
     CapRecipe,
     PlumbingGraph,
@@ -112,12 +113,12 @@ def _parse_cap(spec: Sequence[str]) -> tuple[CapRecipe, Optional[CuspCombo]]:
     return recipe, combo
 
 
-def _parse_family(text: str) -> CapRecipe:
+def _parse_family(text: str) -> CuspCombo:
     name = text.replace("_", "")
     if name in ("E3", "E6"):
-        return family_cap(name)
+        return family_combo(name)
     if len(name) >= 2 and name[0] in ("A", "B") and name[1:].isdigit():
-        return family_cap(name[0] + "_p", int(name[1:]))
+        return family_combo(name[0] + "_p", int(name[1:]))
     raise UsageError(f"unknown family {text!r}, expected A<p>, B<p>, E3 or E6")
 
 
@@ -201,14 +202,6 @@ def _graph_dict(g: PlumbingGraph) -> dict:
         "corners": [list(c) for c in g.corners],
         "root": g.root,
         "det": g.det(),
-    }
-
-
-def _embedding_dict(emb: Embedding) -> dict:
-    return {
-        **emb.to_dict(),
-        "ambient": ambient(emb),
-        "complement": complement_form(emb).to_dict(),
     }
 
 
@@ -297,10 +290,11 @@ def cmd_resolve(args) -> tuple[dict, list[str], Optional[str], int]:
         eulers[g.root] += s - combo.degree**2
         g = replace(g, eulers=tuple(eulers))
     inputs = {"combo": str(combo), "modes": list(modes), "s": s}
-    results = {"graph": _graph_dict(g), "central_weight": g.eulers[g.root]}
+    graph = _graph_dict(g)
+    results = {"graph": graph, "central_weight": g.eulers[g.root]}
     lines = [
         f"{combo} resolved with modes {list(modes)}:",
-        f"  {g.n} curves, central weight {g.eulers[g.root]}, det {g.det()}",
+        f"  {g.n} curves, central weight {g.eulers[g.root]}, det {graph['det']}",
     ]
     return _report("resolve", inputs, results), lines, g.to_dot(), 0
 
@@ -309,10 +303,11 @@ def cmd_cap(args) -> tuple[dict, list[str], Optional[str], int]:
     recipe, combo = _parse_cap(args.spec)
     g = build_cap(recipe)
     inputs = {"spec": list(args.spec)}
-    results = {"cap": _cap_dict(recipe), "graph": _graph_dict(g)}
+    graph = _graph_dict(g)
+    results = {"cap": _cap_dict(recipe), "graph": graph}
     lines = [
         f"cap {recipe.kind} for {recipe.combo}:",
-        f"  {g.n} curves, root weight {g.eulers[g.root]}, det {g.det()}",
+        f"  {g.n} curves, root weight {g.eulers[g.root]}, det {graph['det']}",
         f"  eulers {list(g.eulers)}",
     ]
     code = 2 if _gate_failures(combo, results, lines) else 0
@@ -321,21 +316,18 @@ def cmd_cap(args) -> tuple[dict, list[str], Optional[str], int]:
 
 def cmd_embed(args) -> tuple[dict, list[str], Optional[str], int]:
     recipe, combo = _parse_cap(args.spec)
-    g = build_cap(recipe)
-    embs = enumerate_embeddings(g)
-    inputs = {"spec": list(args.spec)}
-    results = {
-        "cap": _cap_dict(recipe),
-        "count": len(embs),
-        "embeddings": [_embedding_dict(e) for e in embs],
-    }
+    embs = enumerate_embeddings(build_cap(recipe))
+    dicts = []
     lines = [f"cap {recipe.kind}: {len(embs)} embeddings"]
     for e in embs:
-        form = complement_form(e)
+        amb, form = ambient(e), complement_form(e)
+        dicts.append({**e.to_dict(), "ambient": amb, "complement": form.to_dict()})
         lines.append(
-            f"  k={e.k} ambient {ambient(e)}, complement rank {form.rank} "
+            f"  k={e.k} ambient {amb}, complement rank {form.rank} "
             f"det {form.det} ({form.parity})"
         )
+    inputs = {"spec": list(args.spec)}
+    results = {"cap": _cap_dict(recipe), "count": len(embs), "embeddings": dicts}
     code = 2 if _gate_failures(combo, results, lines) or not embs else 0
     return _report("embed", inputs, results), lines, None, code
 
@@ -344,13 +336,13 @@ def cmd_blowdown(args) -> tuple[dict, list[str], Optional[str], int]:
     recipe, combo = _parse_cap(args.spec)
     g = build_cap(recipe)
     embs = enumerate_embeddings(g)
+    catalog = []
     entries = []
     lines = []
-    tags = []
     for e in embs:
         trace = blow_down_trace(e)
         entry = catalog_lookup(trace)
-        tags.append(entry.provenance)
+        catalog.append(entry)
         entries.append(
             {
                 "k": e.k,
@@ -364,9 +356,10 @@ def cmd_blowdown(args) -> tuple[dict, list[str], Optional[str], int]:
         lines.append(f"    {entry.pattern}: {entry.status} ({entry.reason})")
     inputs = {"spec": list(args.spec)}
     results = {"cap": _cap_dict(recipe), "count": len(embs), "entries": entries}
-    dead = not embs or all(e["catalog"]["status"] == OBSTRUCTED for e in entries)
+    dead = any(v.failed for v in cap_verdicts(recipe, g, catalog))
     lines.insert(0, f"cap {recipe.kind}: {len(embs)} embeddings")
     code = 2 if _gate_failures(combo, results, lines) or dead else 0
+    tags = [entry.provenance for entry in catalog]
     return _report("blowdown", inputs, results, tags), lines, None, code
 
 
@@ -422,8 +415,9 @@ def _unicuspidal_entry(cusp: CuspType, degree: int) -> dict:
         entry["count"] = len(embs)
         entry["ks"] = [e.k for e in embs]
         entry["ambients"] = [ambient(e) for e in embs]
-        entry["complement_dets"] = [complement_form(e).det for e in embs]
-        entry["complement_parities"] = [complement_form(e).parity for e in embs]
+        forms = [complement_form(e) for e in embs]
+        entry["complement_dets"] = [form.det for form in forms]
+        entry["complement_parities"] = [form.parity for form in forms]
         if recipe.kind == "B_p":
             # rational blow-down: one filling carries a (-4)-sphere class
             for e in embs:
@@ -436,7 +430,7 @@ def _unicuspidal_entry(cusp: CuspType, degree: int) -> dict:
                     }
                     break
     j = fibonacci_index(degree)
-    if j is not None and (cusp.p, cusp.q) == (fib(j - 2), fib(j + 2)):
+    if j is not None and cusp == fibonacci_cusp(j):
         L = fibonacci_boundary(j)
         ball = rational_ball_string(L)
         wahl = wahl_family(L)
@@ -479,8 +473,7 @@ def cmd_unicuspidal(args) -> tuple[dict, list[str], Optional[str], int]:
     if (args.family is None) == (args.degree is None):
         raise UsageError("unicuspidal needs exactly one of --degree or --family")
     if args.family is not None:
-        recipe = _parse_family(args.family)
-        combo = recipe.combo
+        combo = _parse_family(args.family)
         entries = [_unicuspidal_entry(combo.cusps[0], combo.degree)]
         inputs = {"family": args.family}
     else:

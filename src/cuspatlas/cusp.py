@@ -13,6 +13,11 @@ the R's of a combo is n minus the max-plus convolution H of the G's: a
 table of length sum(c) + 1 = (d-1)(d-2) + 1 at degree d, past whose end
 R(n) = n - genus.  Each combo builds H once, on first use, and every
 gate point reads it.
+
+The named unicuspidal families are written here once: the A_p, B_p, E3
+and E6 curves in one table (family_combo, and family_of its inverse),
+which plumbing.family_cap resolves into caps, and the Fibonacci cusps
+(fibonacci_cusp).  unicuspidal_families lists their members by degree.
 """
 
 from __future__ import annotations
@@ -158,9 +163,6 @@ class CuspCombo:
     def total_milnor(self) -> int:
         return sum(c.milnor for c in self.cusps)
 
-    def multi_sequence(self) -> tuple[MultSeq, ...]:
-        return tuple(c.mult_seq() for c in self.cusps)
-
     @cached_property
     def gap_table(self) -> list[int]:
         """H(0 .. sum c), the max-plus convolution of the cusps' gap
@@ -236,9 +238,43 @@ def enumerate_combos(degree: int) -> list[CuspCombo]:
     return [CuspCombo(degree, cs) for cs in results]
 
 
+# The named unicuspidal families: kind -> member p as (cusp, degree).
+# A_p and B_p take p >= 2, E3 and E6 no parameter.
+_FAMILIES = {
+    "A_p": lambda p: (CuspType(p, p + 1), p + 1),
+    "B_p": lambda p: (CuspType(p, 4 * p - 1), 2 * p),
+    "E3": lambda p: (CuspType(3, 22), 8),
+    "E6": lambda p: (CuspType(6, 43), 16),
+}
+
+
+def family_combo(kind: str, p: Optional[int] = None) -> CuspCombo:
+    """The one-cusp curve of a named family: A_p or B_p (p >= 2), E3 or
+    E6."""
+    if kind in ("A_p", "B_p"):
+        if p is None or p < 2:
+            raise ValueError(f"{kind} needs p >= 2")
+    elif kind in ("E3", "E6"):
+        if p is not None:
+            raise ValueError(f"{kind} takes no parameter")
+    else:
+        raise ValueError(f"unknown cap family {kind!r}")
+    cusp, degree = _FAMILIES[kind](p)
+    return CuspCombo(degree, (cusp,))
+
+
+def family_of(c: CuspType, degree: int) -> Optional[tuple[str, Optional[int]]]:
+    """(kind, p) of the named family whose curve is the single cusp c at
+    this degree, or None.  A_p and B_p members carry their p as c.p."""
+    for kind, p in (("A_p", c.p), ("B_p", c.p), ("E3", None), ("E6", None)):
+        if _FAMILIES[kind](p) == (c, degree):
+            return kind, p
+    return None
+
+
 def fibonacci_index(degree: int) -> Optional[int]:
     """The odd j >= 5 with F_j = degree, whose Fibonacci cusp
-    (F_{j-2}, F_{j+2}) is unicuspidal at this degree; None if there is
+    (see fibonacci_cusp) is unicuspidal at this degree; None if there is
     none."""
     j = 5
     while fib(j) < degree:
@@ -246,23 +282,27 @@ def fibonacci_index(degree: int) -> Optional[int]:
     return j if fib(j) == degree else None
 
 
+def fibonacci_cusp(j: int) -> CuspType:
+    """The cusp (F_{j-2}, F_{j+2}) of the unicuspidal curve of degree F_j,
+    odd j >= 5."""
+    return CuspType(fib(j - 2), fib(j + 2))
+
+
 def unicuspidal_families(degree: int) -> list[CuspType]:
-    """Members of the known unicuspidal families at this degree:
-    (d-1, d); (d/2, 2d-1) for even d; the sporadic (3,22) at 8 and
-    (6,43) at 16; the Fibonacci cusps (F_{j-2}, F_{j+2}) at F_j and
-    (F_j^2, F_{j+2}^2) at F_j F_{j+2}, odd j."""
+    """Members of the known unicuspidal families at this degree: those
+    of the family table, the Fibonacci cusps at F_j, and (F_j^2,
+    F_{j+2}^2) at F_j F_{j+2}, odd j."""
     found = set()
-    if degree >= 3:
-        found.add(CuspType(degree - 1, degree))
-    if degree >= 4 and degree % 2 == 0:
-        found.add(CuspType(degree // 2, 2 * degree - 1))
-    if degree == 8:
-        found.add(CuspType(3, 22))
-    if degree == 16:
-        found.add(CuspType(6, 43))
+    # the one p of A_p and of B_p whose curve can have this degree
+    named = (("A_p", degree - 1), ("B_p", degree // 2), ("E3", None), ("E6", None))
+    for kind, p in named:
+        if p is None or p >= 2:
+            cusp, at = _FAMILIES[kind](p)
+            if at == degree:
+                found.add(cusp)
     j = fibonacci_index(degree)
     if j is not None:
-        found.add(CuspType(fib(j - 2), fib(j + 2)))
+        found.add(fibonacci_cusp(j))
     j = 3
     while fib(j) * fib(j + 2) <= degree:
         if fib(j) * fib(j + 2) == degree:

@@ -558,11 +558,7 @@ def enumerate_embeddings(g: PlumbingGraph) -> tuple[Embedding, ...]:
     if any(not p for p in search.profiles):
         return ()
     found: dict = {}
-    seed: list[tuple[int, dict[int, int]]] = [(1, {})]
-    if g.n == 1:
-        search.emit(seed, 0, found)
-    else:
-        search.dfs(1, seed, [], 0, found)
+    search.dfs(1, [(1, {})], [], 0, found)
     embeddings = tuple(found[key] for key in sorted(found))
     for emb in embeddings:
         _assert_positive_scan(emb)

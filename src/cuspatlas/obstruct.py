@@ -29,7 +29,7 @@ from .cusp import (
     semigroup_condition,
 )
 from .lattice import Embedding, ambient, complement_form, enumerate_embeddings
-from .plumbing import build_cap, cap_for_combo
+from .plumbing import CapRecipe, PlumbingGraph, build_cap, cap_for_combo
 
 
 @dataclass(frozen=True)
@@ -180,11 +180,10 @@ def _final_status(
         return "Obstructed"
     if cap_error is not None:
         return "Unknown"
+    # a failed cap verdict has ruled out a cap with no viable embedding
     viable = [
         (e, ent) for e, ent in zip(embeddings, entries) if ent.status != OBSTRUCTED
     ]
-    if not viable:
-        return "Obstructed"
     plane = [(e, ent) for e, ent in viable if e.k == 0]
     if plane:
         if len(plane) == 1 and plane[0][1].status == UNIQUE:
@@ -206,6 +205,32 @@ def arithmetic_verdicts(combo: CuspCombo) -> List[ObstructionVerdict]:
     ]
 
 
+def cap_verdicts(
+    recipe: CapRecipe, graph: PlumbingGraph, entries: Sequence[CatalogEntry]
+) -> List[ObstructionVerdict]:
+    """The fate of a cap, given the catalog entry of each of its
+    embeddings: NoAdjunctiveEmbedding, then BlowdownCatalog if the cap
+    embeds.  The cap is dead when either fails."""
+    if not entries:
+        witness = {"cap": recipe.kind, "vertices": graph.n}
+        reason = "no adjunctive class assignment for the cap"
+        return [ObstructionVerdict("NoAdjunctiveEmbedding", "Fail", reason, witness)]
+    killed = [i for i, ent in enumerate(entries) if ent.status == OBSTRUCTED]
+    if len(killed) == len(entries):
+        patterns = [entries[i].pattern for i in killed]
+        witness = {"embeddings": killed, "patterns": patterns}
+        reason = "every embedding blows down to an obstructed configuration"
+        catalog = ObstructionVerdict("BlowdownCatalog", "Fail", reason, witness)
+    else:
+        unsettled = sum(1 for ent in entries if ent.status not in (OBSTRUCTED, UNIQUE))
+        reason = f"{len(entries) - len(killed)} viable embeddings" + (
+            f", {unsettled} unsettled" if unsettled else ""
+        )
+        catalog = ObstructionVerdict("BlowdownCatalog", "Pass", reason)
+    embedded = f"{len(entries)} adjunctive embeddings"
+    return [ObstructionVerdict("NoAdjunctiveEmbedding", "Pass", embedded), catalog]
+
+
 def run_pipeline(combo: CuspCombo) -> ClassificationRecord:
     """Run every rule, then cap, embeddings, blow-downs, catalog."""
     verdicts = arithmetic_verdicts(combo)
@@ -220,53 +245,9 @@ def run_pipeline(combo: CuspCombo) -> ClassificationRecord:
         cap_kind = recipe.kind
         graph = build_cap(recipe)
         embeddings = enumerate_embeddings(graph)
-        if embeddings:
-            verdicts.append(
-                ObstructionVerdict(
-                    "NoAdjunctiveEmbedding",
-                    "Pass",
-                    f"{len(embeddings)} adjunctive embeddings",
-                )
-            )
-        else:
-            verdicts.append(
-                ObstructionVerdict(
-                    "NoAdjunctiveEmbedding",
-                    "Fail",
-                    "no adjunctive class assignment for the cap",
-                    {"cap": recipe.kind, "vertices": graph.n},
-                )
-            )
         fingerprints = [blow_down_trace(e) for e in embeddings]
         entries = [catalog_lookup(f) for f in fingerprints]
-        if embeddings:
-            killed = [
-                i for i, ent in enumerate(entries) if ent.status == OBSTRUCTED
-            ]
-            if len(killed) == len(entries):
-                verdicts.append(
-                    ObstructionVerdict(
-                        "BlowdownCatalog",
-                        "Fail",
-                        "every embedding blows down to an obstructed configuration",
-                        {
-                            "embeddings": killed,
-                            "patterns": [entries[i].pattern for i in killed],
-                        },
-                    )
-                )
-            else:
-                unsettled = sum(
-                    1 for ent in entries if ent.status not in (OBSTRUCTED, UNIQUE)
-                )
-                verdicts.append(
-                    ObstructionVerdict(
-                        "BlowdownCatalog",
-                        "Pass",
-                        f"{len(entries) - len(killed)} viable embeddings"
-                        + (f", {unsettled} unsettled" if unsettled else ""),
-                    )
-                )
+        verdicts += cap_verdicts(recipe, graph, entries)
     status = _final_status(verdicts, cap_error, embeddings, entries)
     return ClassificationRecord(
         combo,

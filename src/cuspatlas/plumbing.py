@@ -16,9 +16,10 @@ transform of the curve lands on self-intersection +1, and build_cap
 checks that it does.  After the minimal resolution the curve sits at
 d^2 - sum m^2, leaving s = d^2 - sum m^2 - 1 blow-ups to spare.  A
 single cusp spends them all on its last tangency ("min+s"), which
-covers the named families of family_cap; with none to spare every cusp
-stops at "min".  Only the eight quartic and quintic combinations of
-several cusps with blow-ups to spare need a hand table of modes.
+covers the named families (their curves are written once, in
+cusp.family_combo); with none to spare every cusp stops at "min".
+Only the eight quartic and quintic combinations of several cusps with
+blow-ups to spare need a hand table of modes.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cusp import CuspCombo, CuspType
+from .cusp import CuspCombo, CuspType, family_combo, family_of
 from .linalg import int_det
 
 Edge = tuple[int, int, int]
@@ -259,9 +260,10 @@ def _apply_mode(surf: _Surface, root: int, c_meet: _Meet, mode: str) -> None:
     if mode == "min":
         extra = 0
     elif mode.startswith("min+"):
-        extra = int(mode[4:])
-        if extra < 1:
+        digits = mode[4:]
+        if not (digits.isascii() and digits.isdigit()) or int(digits) < 1:
             raise ValueError(f"bad resolution mode {mode!r}")
+        extra = int(digits)
     else:
         raise ValueError(f"unknown resolution mode {mode!r}")
     for _ in range(extra):
@@ -304,8 +306,6 @@ def nc_resolution(cusp: CuspType) -> PlumbingGraph:
     return PlumbingGraph(g.eulers[1:], g.labels[1:], edges, corners, root=None)
 
 
-
-
 # per-cusp modes of the degree 4 and 5 combinations whose curve has
 # blow-ups to spare after the minimal resolution, keyed by the sorted
 # cusp tuple; these choices fix the frozen quartic and quintic census
@@ -327,8 +327,8 @@ class CapRecipe:
     order) under which the curve lands at +1.
 
     kind and p label the construction in reports: A_p, B_p, E3 and E6
-    are the named families of family_cap, QuarticMin and QuinticMin the
-    stock caps of cap_for_combo on degrees 4 and 5.
+    are the named families of cusp.family_combo, QuarticMin and
+    QuinticMin the stock caps of cap_for_combo on degrees 4 and 5.
     """
 
     kind: str
@@ -351,36 +351,16 @@ def _stock_modes(combo: CuspCombo) -> Optional[tuple[str, ...]]:
 
 def family_cap(kind: str, p: Optional[int] = None) -> CapRecipe:
     """The cap of a named family, A_p or B_p (p >= 2), E3 or E6: the
-    family's one cusp on its curve, resolved to +1."""
-    if kind in ("A_p", "B_p"):
-        if p is None or p < 2:
-            raise ValueError(f"{kind} needs p >= 2")
-        if kind == "A_p":
-            degree, cusp = p + 1, CuspType(p, p + 1)
-        else:
-            degree, cusp = 2 * p, CuspType(p, 4 * p - 1)
-    elif kind in ("E3", "E6"):
-        if p is not None:
-            raise ValueError(f"{kind} takes no parameter")
-        degree, cusp = (8, CuspType(3, 22)) if kind == "E3" else (16, CuspType(6, 43))
-    else:
-        raise ValueError(f"unknown cap family {kind!r}")
-    combo = CuspCombo(degree, (cusp,))
+    family's one cusp on its curve (cusp.family_combo), resolved to +1."""
+    combo = family_combo(kind, p)
     return CapRecipe(kind, combo, _stock_modes(combo), p)
 
 
 def named_cap(c: CuspType, degree: int) -> Optional[CapRecipe]:
     """The named family whose cap resolves the single cusp c on a curve
     of this degree, or None."""
-    for recipe in (
-        family_cap("A_p", degree - 1),
-        family_cap("B_p", c.p),
-        family_cap("E3"),
-        family_cap("E6"),
-    ):
-        if (recipe.combo.degree, recipe.combo.cusps) == (degree, (c,)):
-            return recipe
-    return None
+    family = family_of(c, degree)
+    return None if family is None else family_cap(*family)
 
 
 def cap_for_combo(combo: CuspCombo) -> Optional[CapRecipe]:

@@ -6,12 +6,16 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from cuspatlas import cli
 from cuspatlas.cli import main
+from cuspatlas.cusp import enumerate_combos
+from cuspatlas.obstruct import run_pipeline
+from cuspatlas.plumbing import cap_for_combo
 
 
 def run(*argv):
@@ -65,6 +69,22 @@ def test_resolve_central_weight_default_and_shift():
 
 def test_resolve_mode_count_checked():
     assert run("resolve", "2,3+2,5", "--modes", "nc")[0] == 1
+
+
+@pytest.mark.parametrize(
+    "mode", ["min+x", "min+", "min+0", "min+-1", "min+1_0", "min+ 1", "min+\u0663"]
+)
+def test_resolve_rejects_malformed_spare_modes(mode):
+    # only ASCII decimal digits, at least 1, follow "min+"
+    code, out, err = run("resolve", "2,3", "--modes", mode)
+    assert (code, out) == (1, "")
+    assert err == f"atlas: error: bad resolution mode {mode!r}\n"
+
+
+def test_resolve_reads_spare_modes_as_decimal():
+    _, one = run_json("resolve", "2,3", "--modes", "min+1")
+    code, padded = run_json("resolve", "2,3", "--modes", "min+01")
+    assert code == 0 and padded["results"] == one["results"]
 
 
 def test_resolve_rejects_impossible_genus():
@@ -134,6 +154,21 @@ def test_blowdown_tricuspidal_quartic():
 
 def test_blowdown_dead_cap_exits_2():
     assert run("blowdown", "3,7")[0] == 2
+
+
+def test_blowdown_exit_status_is_the_pipeline_verdict():
+    # atlas blowdown and run_pipeline read one verdict on a cap's fate
+    codes = Counter()
+    for degree in (3, 4, 5):
+        for combo in enumerate_combos(degree):
+            if cap_for_combo(combo) is None:
+                continue
+            spec = "+".join(f"{c.p},{c.q}" for c in combo.cusps)
+            record = run_pipeline(combo)
+            code, _ = run_json("blowdown", spec)
+            assert code == (2 if any(v.failed for v in record.verdicts) else 0), spec
+            codes[code] += 1
+    assert codes == {0: 15, 2: 9}  # the nine Obstructed quintics
 
 
 def test_classify_tallies_and_exit_codes():

@@ -10,12 +10,15 @@ from cuspatlas.cusp import (
     combo_R,
     cusp_types_with_delta,
     enumerate_combos,
+    family_combo,
+    family_of,
     fibonacci_index,
     mult_seq,
     ms_recognize,
     semigroup_condition,
     unicuspidal_families,
 )
+from cuspatlas.cf import fib
 from cuspatlas.obstruct import riemann_hurwitz_verdict, semigroup_verdict
 
 cusp_pairs = st.integers(2, 12).flatmap(
@@ -323,3 +326,68 @@ def test_unicuspidal_families_frozen():
     assert CuspType(6, 43) in unicuspidal_families(16)
     assert CuspType(5, 34) in unicuspidal_families(13)  # Fibonacci member
     assert [fibonacci_index(d) for d in (4, 5, 13, 34)] == [None, 5, 7, 9]
+
+
+def unicuspidal_families_oracle(degree: int) -> list[CuspType]:
+    """The family list as written out by hand, one formula per family."""
+    found = set()
+    if degree >= 3:
+        found.add(CuspType(degree - 1, degree))
+    if degree >= 4 and degree % 2 == 0:
+        found.add(CuspType(degree // 2, 2 * degree - 1))
+    if degree == 8:
+        found.add(CuspType(3, 22))
+    if degree == 16:
+        found.add(CuspType(6, 43))
+    j = fibonacci_index(degree)
+    if j is not None:
+        found.add(CuspType(fib(j - 2), fib(j + 2)))
+    j = 3
+    while fib(j) * fib(j + 2) <= degree:
+        if fib(j) * fib(j + 2) == degree:
+            found.add(CuspType(fib(j) ** 2, fib(j + 2) ** 2))
+        j += 2
+    return sorted(found)
+
+
+def test_unicuspidal_families_match_the_oracle():
+    for d in range(0, 401):
+        assert unicuspidal_families(d) == unicuspidal_families_oracle(d), d
+
+
+NAMED = (
+    [("A_p", p) for p in range(2, 61)]
+    + [("B_p", p) for p in range(2, 31)]
+    + [("E3", None), ("E6", None)]
+)
+
+
+def test_family_table_round_trip():
+    for kind, p in NAMED:
+        combo = family_combo(kind, p)
+        assert len(combo.cusps) == 1
+        assert family_of(combo.cusps[0], combo.degree) == (kind, p)
+        assert combo.cusps[0] in unicuspidal_families(combo.degree)
+
+
+def test_family_members_frozen():
+    assert family_combo("A_p", 4) == CuspCombo(5, (CuspType(4, 5),))
+    assert family_combo("B_p", 3) == CuspCombo(6, (CuspType(3, 11),))
+    assert family_combo("E3") == CuspCombo(8, (CuspType(3, 22),))
+    assert family_combo("E6") == CuspCombo(16, (CuspType(6, 43),))
+
+
+def test_family_of_misses_off_family_curves():
+    named = {(c.cusps[0], c.degree) for c in (family_combo(k, p) for k, p in NAMED)}
+    for degree in range(3, 9):
+        for combo in enumerate_combos(degree):
+            if len(combo.cusps) == 1 and (combo.cusps[0], degree) not in named:
+                assert family_of(combo.cusps[0], degree) is None
+    assert family_of(CuspType(3, 22), 9) is None
+    assert family_of(CuspType(5, 34), 13) is None  # Fibonacci, not a cap family
+
+
+def test_family_combo_rejects_bad_names_and_parameters():
+    for kind, p in [("A_p", None), ("B_p", 1), ("E3", 2), ("F", None)]:
+        with pytest.raises(ValueError):
+            family_combo(kind, p)

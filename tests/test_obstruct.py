@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cuspatlas.blowdown import OBSTRUCTED
 from cuspatlas.cusp import CuspCombo, CuspType, enumerate_combos
 from cuspatlas.obstruct import (
     classify_degree,
@@ -177,6 +178,23 @@ def test_no_embedding_gate_bites_twice(quintic):
         ((3, 4), (3, 4)),
         ((3, 7),),
     }
+
+
+def test_a_cap_is_dead_exactly_when_no_embedding_is_viable():
+    # the final status reads a dead cap off its failed verdict alone
+    cap_rules = ["NoAdjunctiveEmbedding", "BlowdownCatalog"]
+    dead_caps = 0
+    for degree in (3, 4, 5, 6):
+        for rec in classify_degree(degree):
+            if rec.cap_kind is None:
+                continue
+            viable = any(ent.status != OBSTRUCTED for ent in rec.entries)
+            dead = any(failed(rec, rule) for rule in cap_rules)
+            assert dead == (not viable), rec.combo
+            rules = [v.rule for v in rec.verdicts[3:]]
+            assert rules == cap_rules[: 1 + bool(rec.entries)]
+            dead_caps += dead
+    assert dead_caps > 0
 
 
 def test_rules_keep_running_after_a_failure(quintic):

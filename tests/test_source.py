@@ -44,3 +44,25 @@ def test_no_memo_that_outlives_a_request():
             if banned & names:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_each_cusp_literal_is_written_once():
+    # a cusp spelled out twice, as the sporadic family members once were,
+    # is a fact with two owners that can drift apart
+    seen: dict = {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "CuspType"
+                and len(node.args) == 2
+                and all(
+                    isinstance(a, ast.Constant) and type(a.value) is int
+                    for a in node.args
+                )
+            ):
+                pq = tuple(a.value for a in node.args)
+                seen.setdefault(pq, []).append(f"{path.name}:{node.lineno}")
+    assert seen
+    assert {pq: where for pq, where in seen.items() if len(where) > 1} == {}
