@@ -9,12 +9,16 @@ only finitely many coefficient multisets (profiles); the search assigns
 classes vertex by vertex in breadth-first order from the root (which is
 always sent to h) and breaks the permutation symmetry of exceptional
 indices by orbit prefixes.  It generates only classes with the required
-pairings against the classes already placed, cutting a branch once the
-coefficients left to place cannot reach them, and drops partial
-assignments that no positive area form supports: for the degree-zero
-classes that is exactly a cycle in their dominance graph, so no linear
-program runs.  Results are relabelled canonically and sorted, so
-repeated runs agree bit for bit.
+pairings against the classes already placed.  A class is built one
+placement at a time (some units of one coefficient into a prefix of one
+orbit), and a branch is cut when a pairing still owed lies outside the
+range the coefficients left to place can add (each adds between the
+extremes of the columns it may take), or when the L1 norm of what is
+owed exceeds the most those coefficients can move it (the triangle
+inequality).  Partial assignments that no positive area form supports
+are dropped: for the degree-zero classes that is exactly a cycle in
+their dominance graph, so no linear program runs.  Results are
+relabelled canonically and sorted, so repeated runs agree bit for bit.
 """
 
 from __future__ import annotations
@@ -231,11 +235,12 @@ class Embedding:
         if used != set(range(self.n_used)):
             raise ValueError("exceptional indices must be 0..n_used-1")
         kanon = canonical_class(self.n_used)
+        req = g.intersection_matrix()
         for u, cu in enumerate(self.classes):
             if kanon.pairing(cu) != -2 - g.eulers[u]:
                 raise ValueError(f"vertex {u} violates adjunction")
             for v in range(u, g.n):
-                if cu.pairing(self.classes[v]) != g.pairing(u, v):
+                if cu.pairing(self.classes[v]) != req[u][v]:
                     raise ValueError(f"classes at {u},{v} miss the graph pairing")
 
     @property
@@ -309,89 +314,105 @@ def _distributions(
     coefficient cols[o][u] in earlier class u and fresh indices carry
     none, so the e-part of the pairing with class u is linear in the
     units of each value placed in each orbit and must reach targets[u].
-    A branch is cut as soon as some target lies outside the range the
-    units still to be placed can add; a leaf must hit every target.
+
+    The walk recurses once per placement, t > 0 units of one value into
+    one orbit, with orbits taken in increasing order; the orbits that
+    take nothing are a plain loop, and what is left of a value after the
+    last orbit goes onto fresh indices.  Two cuts compare the need left
+    (targets minus what is placed) with what the units still to place
+    can add: the rest of this value in orbit o or later, and the later
+    values anywhere.
+    - Range, per class: sound because each unit adds a coefficient that
+      lies between the extremes of the columns it may take.  A need of 0
+      always lies in the range (fresh indices add 0), so only nonzero
+      needs are checked; the range only narrows as o grows, so the loop
+      stops at the first orbit that fails.
+    - L1: sound by the triangle inequality, since a unit of val placed
+      in orbit o' moves the need by |val| * ||cols[o']||_1, so the L1
+      norm of the need is at most the sum of the largest such moves.
+      It is tested before a placement into an orbit is entered, so one
+      that cannot close costs no generator frame.
+    A leaf must hit every target.
     """
     nu, no = len(targets), len(orbits)
     # lo[o][u], hi[o][u]: extreme coefficient of class u over the orbits
-    # from o on, and 0 for the fresh indices
+    # from o on, and 0 for the fresh indices; l1[o]: the largest column
+    # L1 norm over them
     lo = [[0] * nu]
     hi = [[0] * nu]
+    l1 = [0]
     for col in reversed(cols):
         lo.append([min(a, c) for a, c in zip(lo[-1], col)])
         hi.append([max(a, c) for a, c in zip(hi[-1], col)])
+        l1.append(max(l1[-1], sum(map(abs, col))))
     lo.reverse()
     hi.reverse()
-    # past the last orbit where class u has a coefficient, its range is
-    # fixed: check it once there, then only when the next group starts
-    last = [max((o for o in range(no) if cols[o][u]), default=-1) for u in range(nu)]
-    live = [list(range(nu))] + [
-        [u for u in range(nu) if last[u] >= oi - 1] for oi in range(1, no + 1)
-    ]
-    # later_lo[gi][u], later_hi[gi][u]: what the groups after gi can add
+    l1.reverse()
+    # later_lo[gi][u], later_hi[gi][u], later_l1[gi]: what the groups
+    # after gi can add
     later_lo = [[0] * nu]
     later_hi = [[0] * nu]
+    later_l1 = [0]
     for val, cnt in reversed(groups[1:]):
         ext = (lo[0], hi[0]) if val > 0 else (hi[0], lo[0])
         later_lo.append([a + cnt * val * b for a, b in zip(later_lo[-1], ext[0])])
         later_hi.append([a + cnt * val * b for a, b in zip(later_hi[-1], ext[1])])
+        later_l1.append(later_l1[-1] + cnt * abs(val) * l1[0])
     later_lo.reverse()
     later_hi.reverse()
+    later_l1.reverse()
 
     nonzero = [[(u, c) for u, c in enumerate(col) if c] for col in cols]
     need = list(targets)
     taken = [0] * no
     acc: list[tuple[int, int]] = []
 
-    def per_group(gi: int, fresh_at: int) -> Iterator[tuple[list[tuple[int, int]], int]]:
-        if gi == len(groups):
-            if not any(need):
-                yield list(acc), fresh_at
-            return
-        val, cnt = groups[gi]
+    def place(
+        gi: int, oi: int, left: int, fresh_at: int, norm: int
+    ) -> Iterator[tuple[list[tuple[int, int]], int]]:
+        # the last `left` units of group gi go into orbits oi.. or onto
+        # fresh indices; norm is the L1 norm of need
+        if not left:
+            gi, oi = gi + 1, 0
+            if gi == len(groups):
+                if not any(need):
+                    yield list(acc), fresh_at
+                return
+            left = groups[gi][1]
+        val = groups[gi][0]
         flo, fhi = later_lo[gi], later_hi[gi]
-
-        def reachable(oi: int, left: int) -> bool:
-            # one unit of val placed at orbit oi or later adds val * c with
-            # c in [lo[oi][u], hi[oi][u]]
-            small, large = (lo[oi], hi[oi]) if val > 0 else (hi[oi], lo[oi])
-            n = left * val
-            for u in live[oi]:
-                r = need[u]
+        live = [(u, r) for u, r in enumerate(need) if r]
+        n, size = left * val, abs(val)
+        for o in range(oi, no + 1):
+            small, large = (lo[o], hi[o]) if val > 0 else (hi[o], lo[o])
+            for u, r in live:
                 if r < n * small[u] + flo[u] or r > n * large[u] + fhi[u]:
-                    return False
-            return True
-
-        def per_orbit(oi: int, left: int) -> Iterator[tuple[list[tuple[int, int]], int]]:
-            if not reachable(oi, left):
-                return
-            if oi == no:
-                mark = len(acc)
+                    return
+            if o == no:
                 acc.extend((fresh_at + j, val) for j in range(left))
-                yield from per_group(gi + 1, fresh_at + left)
-                del acc[mark:]
+                yield from place(gi, no, 0, fresh_at + left, norm)
+                del acc[-left:]
                 return
-            members = orbits[oi]
-            room = len(members) - taken[oi]
-            for t in range(min(left, room), -1, -1):
-                if t == 0:
-                    yield from per_orbit(oi + 1, left)
-                    continue
-                mark = len(acc)
-                base = taken[oi]
-                acc.extend((members[base + j], val) for j in range(t))
-                taken[oi] += t
-                for u, c in nonzero[oi]:
-                    need[u] -= val * t * c
-                yield from per_orbit(oi + 1, left - t)
-                for u, c in nonzero[oi]:
+            members = orbits[o]
+            base = taken[o]
+            for t in range(min(left, len(members) - base), 0, -1):
+                moved = norm
+                for u, c in nonzero[o]:
+                    r = need[u]
+                    need[u] = r - val * t * c
+                    moved += abs(need[u]) - abs(r)
+                # the L1 cut, before the placement is entered
+                if moved - later_l1[gi] <= (left - t) * size * l1[o + 1]:
+                    acc.extend((i, val) for i in members[base:base + t])
+                    taken[o] = base + t
+                    yield from place(gi, o + 1, left - t, fresh_at, moved)
+                    taken[o] = base
+                    del acc[-t:]
+                for u, c in nonzero[o]:
                     need[u] += val * t * c
-                taken[oi] -= t
-                del acc[mark:]
 
-        yield from per_orbit(0, cnt)
-
-    yield from per_group(0, fresh_start)
+    # group -1 has no units left, so the walk opens on group 0
+    yield from place(-1, 0, 0, fresh_start, sum(map(abs, need)))
 
 
 def _canonical_classes(
@@ -469,7 +490,7 @@ class _Search:
             raise ValueError("the root must be a +1 sphere")
         self.g = g
         self.order = _bfs_order(g)
-        self.req = [[g.pairing(u, v) for v in range(g.n)] for u in range(g.n)]
+        self.req = g.intersection_matrix()
         self.profiles: list[list[tuple[int, ...]]] = []
         for v in self.order:
             if v == g.root:

@@ -261,9 +261,13 @@ def _apply_mode(surf: _Surface, root: int, c_meet: _Meet, mode: str) -> None:
         extra = 0
     elif mode.startswith("min+"):
         digits = mode[4:]
-        if not (digits.isascii() and digits.isdigit()) or int(digits) < 1:
+        try:
+            # int() also refuses more digits than it converts
+            extra = int(digits) if digits.isascii() and digits.isdigit() else 0
+        except ValueError:
+            extra = 0
+        if extra < 1:
             raise ValueError(f"bad resolution mode {mode!r}")
-        extra = int(digits)
     else:
         raise ValueError(f"unknown resolution mode {mode!r}")
     for _ in range(extra):

@@ -81,6 +81,14 @@ def test_resolve_rejects_malformed_spare_modes(mode):
     assert err == f"atlas: error: bad resolution mode {mode!r}\n"
 
 
+def test_resolve_rejects_a_spare_count_too_long_to_read():
+    # more digits than int() converts by default is a malformed mode too
+    mode = "min+" + "1" * 5000
+    code, out, err = run("resolve", "2,3", "--modes", mode)
+    assert (code, out) == (1, "")
+    assert err == f"atlas: error: bad resolution mode {mode!r}\n"
+
+
 def test_resolve_reads_spare_modes_as_decimal():
     _, one = run_json("resolve", "2,3", "--modes", "min+1")
     code, padded = run_json("resolve", "2,3", "--modes", "min+01")

@@ -263,6 +263,47 @@ def test_pairing_mismatch_from_the_generator_is_an_internal_error(monkeypatch):
         enumerate_embeddings(cap("A_p", p=2))
 
 
+@st.composite
+def distribution_instances(draw):
+    # the caps only reach coefficients +-1; values and columns up to 2 in
+    # size put the range and L1 cuts and the early orbit exit to the test
+    values = draw(st.lists(st.sampled_from((2, 1, -1, -2)), unique=True, max_size=4))
+    groups = [(v, draw(st.integers(1, 3))) for v in sorted(values, reverse=True)]
+    sizes = draw(st.lists(st.integers(1, 3), max_size=4))
+    starts = [sum(sizes[:o]) for o in range(len(sizes))]
+    orbits = [list(range(s, s + n)) for s, n in zip(starts, sizes)]
+    nu = draw(st.integers(0, 4))
+    cols = [tuple(draw(st.lists(st.integers(-2, 2), min_size=nu, max_size=nu)))
+            for _ in orbits]
+    fresh_start = sum(sizes)
+    placements = list(_unpruned(groups, orbits, [0] * len(orbits), fresh_start))
+    if draw(st.booleans()):
+        targets = draw(st.lists(st.integers(-8, 8), min_size=nu, max_size=nu))
+    else:
+        # the pairings of one placement, so that something is yielded
+        items, _ = draw(st.sampled_from(placements))
+        col_of = {i: col for members, col in zip(orbits, cols) for i in members}
+        targets = [sum(val * col_of[i][u] for i, val in items if i in col_of)
+                   for u in range(nu)]
+    return groups, orbits, cols, targets, fresh_start, placements
+
+
+@given(instance=distribution_instances())
+@settings(max_examples=150, deadline=None)
+def test_distributions_match_the_filtered_placements(instance):
+    groups, orbits, cols, targets, fresh_start, placements = instance
+    got = sorted(
+        (tuple(sorted(items)), end)
+        for items, end in lattice._distributions(groups, orbits, cols, targets, fresh_start)
+    )
+    want = sorted(
+        (tuple(sorted(items)), end)
+        for items, end in placements
+        if _pairs_as_required(items, orbits, cols, targets)
+    )
+    assert got == want
+
+
 # ---------------------------------------------------------------- embeddings
 
 
@@ -395,10 +436,11 @@ def test_obstructed_quintic_caps_have_no_embeddings():
         assert enumerate_embeddings(g) == ()
 
 
-# embedding lists of longer chains, checked against the unpruned search
+# embedding lists of longer chains: A11..A14 and B7..B10 as the unpruned
+# search gives them, A20, A40 and B18 as the orbit-by-orbit walk did
 SCALING_KS = {
-    **{("A_p", p): [0] for p in range(11, 15)},
-    **{("B_p", p): [0, 1] for p in range(7, 11)},
+    **{("A_p", p): [0] for p in (*range(11, 15), 20, 40)},
+    **{("B_p", p): [0, 1] for p in (*range(7, 11), 18)},
 }
 
 
