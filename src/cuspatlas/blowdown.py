@@ -11,11 +11,12 @@ earlier points ride on the collapsing sphere and so become infinitely
 near the new one, determines the complete local intersection data of
 the image curves.
 
-The result is a ConfigFingerprint: component degrees plus a forest of
-weighted base points.  catalog_lookup matches fingerprints against
-plane configurations whose equisingular symplectic isotopy class is
-settled, either obstructed (no symplectic realization at all) or unique
-up to symplectic isotopy.  A fingerprint that is a known configuration
+The result is a ConfigFingerprint: component degrees plus clusters of
+weighted base points, each point holding the points infinitely near
+it.  catalog_lookup matches fingerprints against plane configurations
+whose equisingular symplectic isotopy class is settled, either
+obstructed (no symplectic realization at all) or unique up to
+symplectic isotopy.  A fingerprint that is a known configuration
 plus extra lines, each meeting the rest simply enough, reduces to the
 known core one line at a time.
 """
@@ -23,7 +24,7 @@ known core one line at a time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Optional, Sequence
 
@@ -34,97 +35,81 @@ UNIQUE = "UniqueIsotopy"
 UNKNOWN = "Unknown"
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PointNode:
-    """One base point of the image configuration, possibly infinitely
-    near another (its parent).  mults maps component index to the
-    multiplicity of that component's image at the point."""
+    """One base point of the image configuration together with the
+    points infinitely near it (its children).  mults maps component
+    index to the multiplicity of that component's image at the point.
+    Points compare by identity: two points with equal data are still
+    two places in the plane."""
 
-    id: int
-    parent: Optional[int]
     mults: Dict[int, int]
+    children: tuple[PointNode, ...] = ()
+
+    def tree(self) -> list[PointNode]:
+        """This point and every point infinitely near it, in preorder."""
+        out, stack = [], [self]
+        while stack:
+            p = stack.pop()
+            out.append(p)
+            stack.extend(reversed(p.children))
+        return out
+
+    def curves(self) -> set[int]:
+        return {c for p in self.tree() for c in p.mults}
+
+    def pairing(self, u: int, v: int) -> int:
+        return sum(p.mults.get(u, 0) * p.mults.get(v, 0) for p in self.tree())
 
 
 @dataclass(frozen=True)
 class ConfigFingerprint:
     """Plane image of a blown-down embedding: component degrees plus
-    the forest of weighted base points.
+    the clusters of weighted base points, one root point per cluster.
 
     Every intersection between two components is accounted for by the
-    point forest: summing mult_u * mult_v over all nodes recovers the
-    product of the degrees (checked on construction).  Nodes are in
-    preorder, so a parent always precedes its children.
+    clusters: summing mult_u * mult_v over all points recovers the
+    product of the degrees (checked on construction).
     """
 
     degrees: tuple[int, ...]
     labels: tuple[str, ...]
-    nodes: tuple[PointNode, ...]
+    clusters: tuple[PointNode, ...]
 
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.degrees):
             raise ValueError("labels and degrees disagree")
         if any(d < 1 for d in self.degrees):
             raise ValueError("component degrees must be positive")
-        for i, node in enumerate(self.nodes):
-            if node.id != i:
-                raise ValueError("node ids must be 0..len-1 in order")
-            if node.parent is not None:
-                if not 0 <= node.parent < i:
-                    raise ValueError("a parent must precede its child")
-                par = self.nodes[node.parent]
-                if not set(node.mults) <= set(par.mults):
-                    raise ValueError("a child's curves must pass the parent")
-            for c, m in node.mults.items():
+        points = self.points()
+        if len(set(map(id, points))) != len(points):
+            raise ValueError("a point must sit in one place of one cluster")
+        for p in points:
+            if any(not set(q.mults) <= set(p.mults) for q in p.children):
+                raise ValueError("a child's curves must pass the parent")
+            for c, m in p.mults.items():
                 if not 0 <= c < len(self.degrees):
-                    raise ValueError(f"node {i} names unknown component {c}")
+                    raise ValueError(f"a point names unknown component {c}")
                 if m < 1:
                     raise ValueError("multiplicities must be positive")
         for u in range(len(self.degrees)):
             for v in range(u + 1, len(self.degrees)):
-                total = sum(
-                    n.mults.get(u, 0) * n.mults.get(v, 0) for n in self.nodes
-                )
+                total = sum(p.mults.get(u, 0) * p.mults.get(v, 0) for p in points)
                 if total != self.degrees[u] * self.degrees[v]:
                     raise ValueError(
                         f"components {u},{v} meet {total} times, "
                         f"want {self.degrees[u] * self.degrees[v]}"
                     )
 
-    # -- forest helpers ------------------------------------------------
+    # -- cluster helpers -----------------------------------------------
 
-    def roots(self) -> list[int]:
-        return [n.id for n in self.nodes if n.parent is None]
+    def points(self) -> list[PointNode]:
+        return [p for r in self.clusters for p in r.tree()]
 
-    def children(self, i: int) -> list[int]:
-        return [n.id for n in self.nodes if n.parent == i]
-
-    def tree(self, root: int) -> list[int]:
-        out, stack = [], [root]
-        while stack:
-            i = stack.pop()
-            out.append(i)
-            stack.extend(reversed(self.children(i)))
-        return out
-
-    def node(self, i: int) -> PointNode:
-        return self.nodes[i]
-
-    def curves_in_cluster(self, root: int) -> set[int]:
-        got: set[int] = set()
-        for i in self.tree(root):
-            got.update(self.nodes[i].mults)
-        return got
-
-    def cluster_pairing(self, root: int, u: int, v: int) -> int:
-        return sum(
-            self.nodes[i].mults.get(u, 0) * self.nodes[i].mults.get(v, 0)
-            for i in self.tree(root)
-        )
-
-    def pair_clusters(self, u: int, v: int) -> list[tuple[int, int]]:
+    def pair_clusters(self, u: int, v: int) -> list[tuple[PointNode, int]]:
         out = []
-        for r in self.roots():
-            p = self.cluster_pairing(r, u, v)
+        for r in self.clusters:
+            p = r.pairing(u, v)
             if p:
                 out.append((r, p))
         return out
@@ -134,16 +119,16 @@ class ConfigFingerprint:
 
     def simple_tangency(self, u: int, v: int) -> bool:
         """A point where u and v meet with contact exactly 2 and
-        nothing else happens: a bare two-node chain on {u, v}."""
+        nothing else happens: a bare two-point chain on {u, v}."""
         want = {u: 1, v: 1}
-        for r in self.roots():
-            t = self.tree(r)
-            if len(t) == 2 and all(self.nodes[i].mults == want for i in t):
+        for r in self.clusters:
+            t = r.tree()
+            if len(t) == 2 and all(p.mults == want for p in t):
                 return True
         return False
 
-    def singular_nodes(self, u: int) -> list[int]:
-        return [n.id for n in self.nodes if n.mults.get(u, 0) >= 2]
+    def singular_points(self, u: int) -> list[PointNode]:
+        return [p for p in self.points() if p.mults.get(u, 0) >= 2]
 
     def components_of_degree(self, d: int) -> list[int]:
         return [i for i, deg in enumerate(self.degrees) if deg == d]
@@ -155,80 +140,58 @@ class ConfigFingerprint:
         Points that stop witnessing anything (at most one curve, simply)
         are forgotten, as on an actual sub-curve."""
         keep = sorted(set(keep))
-        remap = {c: i for i, c in enumerate(keep)}
-        mults = [
-            {remap[c]: m for c, m in n.mults.items() if c in remap}
-            for n in self.nodes
-        ]
         return ConfigFingerprint(
             tuple(self.degrees[c] for c in keep),
             tuple(self.labels[c] for c in keep),
-            _prune([n.parent for n in self.nodes], mults),
+            _prune(self.clusters, {c: i for i, c in enumerate(keep)}),
         )
 
     def remove_component(self, c: int) -> "ConfigFingerprint":
         return self.restrict([i for i in range(len(self.degrees)) if i != c])
 
     def to_dict(self) -> dict:
-        def node_dict(i: int) -> dict:
-            n = self.nodes[i]
+        def point_dict(p: PointNode) -> dict:
             return {
-                "mults": {self.labels[c]: m for c, m in sorted(n.mults.items())},
-                "children": canonical(self.children(i)),
+                "mults": {self.labels[c]: m for c, m in sorted(p.mults.items())},
+                "children": canonical(p.children),
             }
 
-        def canonical(ids: list[int]) -> list[dict]:
-            # node ids follow the exceptional index labels; serialised
-            # subtrees do not
-            return sorted((node_dict(i) for i in ids), key=json.dumps)
+        def canonical(points: Sequence[PointNode]) -> list[dict]:
+            # the order of points follows the exceptional index labels;
+            # serialised subtrees do not
+            return sorted((point_dict(p) for p in points), key=json.dumps)
 
         return {
             "components": [
                 {"label": lab, "degree": d}
                 for lab, d in zip(self.labels, self.degrees)
             ],
-            "clusters": canonical(self.roots()),
+            "clusters": canonical(self.clusters),
         }
 
     def summary(self) -> str:
         degs = ",".join(str(d) for d in sorted(self.degrees))
         pts = []
-        for r in self.roots():
-            curves = sorted(self.curves_in_cluster(r))
-            size = len(self.tree(r))
-            pts.append(f"[{'+'.join(self.labels[c] for c in curves)}]x{size}")
-        # node ids follow the exceptional index labels; sorted tokens do not
+        for r in self.clusters:
+            curves = "+".join(self.labels[c] for c in sorted(r.curves()))
+            pts.append(f"[{curves}]x{len(r.tree())}")
+        # the order of clusters follows the exceptional index labels;
+        # sorted tokens do not
         return f"degrees({degs}) points " + " ".join(sorted(pts))
 
 
-def _prune(
-    parents: Sequence[Optional[int]], mults: Sequence[Dict[int, int]]
-) -> tuple[PointNode, ...]:
-    """The forest on the nodes that still witness geometry: at least two
-    curves, one curve with multiplicity >= 2, or a surviving descendant.
-    Kept nodes are renumbered in preorder and each parent is lifted to
-    its nearest kept ancestor."""
-    kids: list[list[int]] = [[] for _ in parents]
-    for i, p in enumerate(parents):
-        if p is not None:
-            kids[p].append(i)
-
-    def visit(i: int) -> list[int]:
-        # the kept nodes of the subtree at i, in preorder
-        below = [k for j in kids[i] for k in visit(j)]
-        own = len(mults[i]) >= 2 or any(m >= 2 for m in mults[i].values())
-        return [i] + below if below or own else []
-
-    order = [k for i, p in enumerate(parents) if p is None for k in visit(i)]
-    newid = {old: i for i, old in enumerate(order)}
-
-    def lifted(old: int) -> Optional[int]:
-        p = parents[old]
-        while p is not None and p not in newid:
-            p = parents[p]
-        return None if p is None else newid[p]
-
-    return tuple(PointNode(newid[old], lifted(old), mults[old]) for old in order)
+def _prune(nodes: Sequence[PointNode], remap: Dict[int, int]) -> tuple[PointNode, ...]:
+    """These points with each curve renamed by remap (curves it does not
+    name are dropped), less the subtrees that no longer witness geometry.
+    A point stays while it holds at least two curves, one curve with
+    multiplicity >= 2, or a point that stays."""
+    out = []
+    for p in nodes:
+        mults = {remap[c]: m for c, m in p.mults.items() if c in remap}
+        children = _prune(p.children, remap)
+        if children or len(mults) >= 2 or any(m >= 2 for m in mults.values()):
+            out.append(PointNode(mults, children))
+    return tuple(out)
 
 
 # -- the trace ---------------------------------------------------------
@@ -251,20 +214,15 @@ def blow_down_trace(emb: Embedding) -> ConfigFingerprint:
     coeff = [dict(c.coeffs) for c in emb.classes]
     a0 = [c.a0 for c in emb.classes]
     active = set(range(g.n))
+    roots: list[PointNode] = []
 
-    parents: list[Optional[int]] = []
-    mults: list[Dict[int, int]] = []
-    on: list[set[int]] = []
-
-    def new_node(parent: Optional[int], m: Dict[int, int], touches: set[int]) -> int:
-        parents.append(parent)
-        mults.append(m)
-        on.append(touches)
-        return len(parents) - 1
-
-    def seed_chain(u: int, v: int, order: int, below: Optional[int]) -> None:
+    def chain(u: int, v: int, order: int) -> tuple[PointNode, ...]:
+        # contact of this order: a chain of points on {u, v}, built
+        # from its deepest point up
+        below: tuple[PointNode, ...] = ()
         for _ in range(order):
-            below = new_node(below, {u: 1, v: 1}, {u, v})
+            below = (PointNode({u: 1, v: 1}, below),)
+        return below
 
     corner_pairs: set[tuple[int, int]] = set()
     for x, y, z in g.corners:
@@ -276,14 +234,15 @@ def blow_down_trace(emb: Embedding) -> ConfigFingerprint:
         deep = [(pair, r) for pair, r in orders.items() if r > 1]
         if len(deep) > 1:
             raise ValueError("a corner admits at most one tangent pair")
-        root = new_node(None, {x: 1, y: 1, z: 1}, {x, y, z})
+        near: tuple[PointNode, ...] = ()
         if deep:
             (u, v), r = deep[0]
-            seed_chain(u, v, r - 1, root)
+            near = chain(u, v, r - 1)
+        roots.append(PointNode({x: 1, y: 1, z: 1}, near))
         corner_pairs.update(orders)
     for u, v, order in g.edges:
         if (u, v) not in corner_pairs:
-            seed_chain(u, v, order, None)
+            roots.extend(chain(u, v, order))
 
     remaining = set(range(emb.n_used))
     steps = 0
@@ -301,10 +260,9 @@ def blow_down_trace(emb: Embedding) -> ConfigFingerprint:
                 for u in active
                 if u != v and coeff[u].get(k, 0) < 0
             }
-            nid = new_node(None, m, set(m))
-            for i in range(nid):
-                if parents[i] is None and v in on[i]:
-                    parents[i] = nid
+            near = tuple(r for r in roots if v in r.mults)
+            roots = [r for r in roots if v not in r.mults]
+            roots.append(PointNode(m, near))
             active.remove(v)
         else:
             free = [
@@ -316,7 +274,7 @@ def blow_down_trace(emb: Embedding) -> ConfigFingerprint:
                 raise RuntimeError("blow-down deadlock: every index is held up")
             k = free[0]
             m = {u: -coeff[u][k] for u in active if coeff[u].get(k, 0) < 0}
-            new_node(None, m, set(m))
+            roots.append(PointNode(m))
         for u in active:
             coeff[u].pop(k, None)
         remaining.discard(k)
@@ -327,14 +285,10 @@ def blow_down_trace(emb: Embedding) -> ConfigFingerprint:
     survivors = sorted(active)
     if not all(a0[v] > 0 and not coeff[v] for v in survivors):
         raise RuntimeError("blow-down left an exceptional class behind")
-    remap = {v: i for i, v in enumerate(survivors)}
-    final_mults = [
-        {remap[u]: m for u, m in node.items() if u in remap} for node in mults
-    ]
     return ConfigFingerprint(
         tuple(a0[v] for v in survivors),
         tuple(g.labels[v] for v in survivors),
-        _prune(parents, final_mults),
+        _prune(roots, {v: i for i, v in enumerate(survivors)}),
     )
 
 
@@ -379,11 +333,7 @@ def _match_fano(f: ConfigFingerprint) -> Optional[CatalogEntry]:
         return None
     for sub in combinations(lines, 7):
         g = f.restrict(sub)
-        triples = [
-            frozenset(g.node(r).mults)
-            for r in g.roots()
-            if len(g.node(r).mults) == 3
-        ]
+        triples = [frozenset(r.mults) for r in g.clusters if len(r.mults) == 3]
         if len(triples) != 7:
             continue
         covered = {pair for t in triples for pair in combinations(sorted(t), 2)}
@@ -401,9 +351,9 @@ def _match_conic_pencil(f: ConfigFingerprint) -> Optional[CatalogEntry]:
     lines = f.components_of_degree(1)
     for trio in combinations(conics, 3):
         shared = 0
-        for r in f.roots():
-            if set(trio) <= f.curves_in_cluster(r) and all(
-                f.cluster_pairing(r, a, b) == 1 for a, b in combinations(trio, 2)
+        for r in f.clusters:
+            if set(trio) <= r.curves() and all(
+                r.pairing(a, b) == 1 for a, b in combinations(trio, 2)
             ):
                 shared += 1
         if shared != 4:
@@ -448,9 +398,8 @@ def _match_concurrent_tangents(f: ConfigFingerprint) -> Optional[CatalogEntry]:
             L for L in f.components_of_degree(1) if f.simple_tangency(L, q)
         ]
         for trio in combinations(tangent, 3):
-            for r in f.roots():
-                m = f.node(r).mults
-                if all(m.get(L, 0) for L in trio) and q not in f.curves_in_cluster(r):
+            for r in f.clusters:
+                if all(r.mults.get(L, 0) for L in trio) and q not in r.curves():
                     return _obstructed(
                         "conic-three-concurrent-tangents",
                         "three tangent lines of a conic through one point",
@@ -473,7 +422,7 @@ def _match_line_arrangement(f: ConfigFingerprint) -> Optional[CatalogEntry]:
 
 
 def _match_smooth_conic(f: ConfigFingerprint) -> Optional[CatalogEntry]:
-    if f.degrees == (2,) and not f.singular_nodes(0):
+    if f.degrees == (2,) and not f.singular_points(0):
         return _unique("smooth-conic")
     return None
 
@@ -516,10 +465,7 @@ def _match_three_conics_tangent_triangle(
             return None
         (r,) = [s for s, p in f.pair_clusters(a, b) if p == 2]
         (third,) = set(conics) - {a, b}
-        if (
-            f.cluster_pairing(r, a, third) != 1
-            or f.cluster_pairing(r, b, third) != 1
-        ):
+        if r.pairing(a, third) != 1 or r.pairing(b, third) != 1:
             return None
         tangency_at[(a, b)] = r
     if len(set(tangency_at.values())) != 3:
@@ -541,16 +487,14 @@ def _match_four_conics_triple_flex(f: ConfigFingerprint) -> Optional[CatalogEntr
     conics = f.components_of_degree(2)
     if not all(f.simple_tangency(L, q) for q in conics):
         return None
-    for r in f.roots():
-        if not set(conics) <= f.curves_in_cluster(r):
+    for r in f.clusters:
+        if not set(conics) <= r.curves():
             continue
         for w in conics:
             deep = [q for q in conics if q != w]
-            if not all(
-                f.cluster_pairing(r, a, b) == 3 for a, b in combinations(deep, 2)
-            ):
+            if not all(r.pairing(a, b) == 3 for a, b in combinations(deep, 2)):
                 continue
-            if not all(f.cluster_pairing(r, a, w) == 2 for a in deep):
+            if not all(r.pairing(a, w) == 2 for a in deep):
                 continue
             trip = set()
             good = True
@@ -560,10 +504,7 @@ def _match_four_conics_triple_flex(f: ConfigFingerprint) -> Optional[CatalogEntr
                     good = False
                     break
                 s = others[0][0]
-                if (
-                    f.cluster_pairing(s, a, w) != 1
-                    or f.cluster_pairing(s, b, w) != 1
-                ):
+                if s.pairing(a, w) != 1 or s.pairing(b, w) != 1:
                     good = False
                     break
                 trip.add(s)
@@ -587,18 +528,18 @@ def _match_curve_with_maximal_tangent(
     (L,) = f.components_of_degree(1)
     (c,) = [i for i in range(2) if i != L]
     d = f.degrees[c]
-    sing = f.singular_nodes(c)
+    sing = f.singular_points(c)
     if d == 2:
         if sing:
             return None
     else:
-        if len(sing) != 1 or f.node(sing[0]).mults != {c: d - 1}:
+        if len(sing) != 1 or sing[0].mults != {c: d - 1}:
             return None
     contact = f.pair_clusters(L, c)
     if len(contact) != 1 or contact[0][1] != d:
         return None
-    t = f.tree(contact[0][0])
-    if len(t) != d or any(f.node(i).mults != {L: 1, c: 1} for i in t):
+    t = contact[0][0].tree()
+    if len(t) != d or any(p.mults != {L: 1, c: 1} for p in t):
         return None
     return _unique("curve-with-maximal-tangent-line", f"degree {d}")
 
@@ -625,29 +566,27 @@ def _peelable_line(f: ConfigFingerprint) -> Optional[int]:
         tangencies = 0
         specials = 0
         ok = True
-        for r in f.roots():
-            t = f.tree(r)
-            places = [i for i in t if L in f.node(i).mults]
+        for r in f.clusters:
+            t = r.tree()
+            places = [p for p in t if L in p.mults]
             if not places:
                 continue
-            if any(f.node(i).mults.get(L, 0) != 1 for i in places):
+            if any(p.mults[L] != 1 for p in places):
                 ok = False
                 break
-            curves = f.curves_in_cluster(r)
             if (
                 len(places) == 2
                 and len(t) == 2
-                and len(curves) == 2
-                and all(len(f.node(i).mults) == 2 for i in t)
+                and len(r.curves()) == 2
+                and all(len(p.mults) == 2 for p in t)
             ):
                 tangencies += 1
                 continue
             if places != [r]:
                 ok = False
                 break
-            rest = {c: m for c, m in f.node(r).mults.items() if c != L}
-            deeper = bool(f.children(r))
-            if len(rest) >= 2 or any(m >= 2 for m in rest.values()) or deeper:
+            rest = {c: m for c, m in r.mults.items() if c != L}
+            if len(rest) >= 2 or any(m >= 2 for m in rest.values()) or r.children:
                 specials += 1
         if not ok:
             continue

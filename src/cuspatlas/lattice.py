@@ -23,7 +23,6 @@ relabelled canonically and sorted, so repeated runs agree bit for bit.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from math import isqrt
 from typing import Iterable, Iterator, Literal, Mapping, Optional, Sequence, Union
@@ -101,32 +100,6 @@ class HClass:
             return "0"
         out = "".join(parts)
         return out[1:] if out.startswith("+") else out
-
-
-_TERM = re.compile(r"([+-]?)(\d*)(?:(h)|e(\d+))")
-
-
-def parse_class(text: str) -> HClass:
-    """Inverse of str(HClass), e.g. "h-e0-e1", "2h-e0", "e1-e2"."""
-    s = text.replace(" ", "")
-    if s == "0":
-        return HClass(0)
-    a0 = 0
-    coeffs: dict[int, int] = {}
-    pos = 0
-    while pos < len(s):
-        m = _TERM.match(s, pos)
-        if m is None:
-            raise ValueError(f"cannot parse class {text!r} at {s[pos:]!r}")
-        sign = -1 if m.group(1) == "-" else 1
-        mag = int(m.group(2)) if m.group(2) else 1
-        if m.group(3):
-            a0 += sign * mag
-        else:
-            i = int(m.group(4))
-            coeffs[i] = coeffs.get(i, 0) + sign * mag
-        pos = m.end()
-    return HClass.make(a0, coeffs)
 
 
 def canonical_class(n: int) -> HClass:

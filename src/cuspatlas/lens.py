@@ -43,13 +43,6 @@ class LensSpace:
     def q_inv(self) -> int:
         return pow(self.q, -1, self.p)
 
-    def canonical(self) -> "LensSpace":
-        """The representative with the smaller of q and its inverse."""
-        return LensSpace(self.p, min(self.q, self.q_inv))
-
-    def reversed_orientation(self) -> "LensSpace":
-        return LensSpace(self.p, self.p - self.q)
-
     def __str__(self) -> str:
         return f"L({self.p},{self.q})"
 

@@ -101,9 +101,6 @@ class PlumbingGraph:
                 out.add(a)
         return tuple(sorted(out))
 
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
     def intersection_matrix(self) -> list[list[int]]:
         m = [[0] * self.n for _ in range(self.n)]
         for i, e in enumerate(self.eulers):

@@ -13,10 +13,10 @@ from cuspatlas.blowdown import blow_down_trace, catalog_lookup
 from cuspatlas.cf import cf_dual, cf_expand, continuant, fib
 from cuspatlas.cusp import CuspCombo, CuspType, enumerate_combos, ms_recognize
 from cuspatlas.lattice import (
+    HClass,
     ambient_form,
     complement_form,
     enumerate_embeddings,
-    parse_class,
 )
 from cuspatlas.lens import (
     LensSpace,
@@ -188,12 +188,13 @@ def test_c7_property_suites():
             for u in range(len(f.degrees)):
                 for v in range(u + 1, len(f.degrees)):
                     got = sum(
-                        n.mults.get(u, 0) * n.mults.get(v, 0) for n in f.nodes
+                        p.mults.get(u, 0) * p.mults.get(v, 0) for p in f.points()
                     )
                     assert got == f.degrees[u] * f.degrees[v]
 
     # the opposed witness pair admits no common positive area
-    a, b = parse_class("e0-e1-e2"), parse_class("e1-e0-e2")
+    a = HClass.make(0, {0: 1, 1: -1, 2: -1})
+    b = HClass.make(0, {1: 1, 0: -1, 2: -1})
     assert area_feasible([a]) and area_feasible([b])
     assert area_feasible([a, b]) is False
 

@@ -9,6 +9,8 @@ counts (Bezout closure pins most of them down uniquely).
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspatlas.blowdown import (
     OBSTRUCTED,
@@ -24,12 +26,20 @@ from cuspatlas.lattice import Embedding, HClass, enumerate_embeddings
 from cuspatlas.plumbing import build_cap, cap_for_combo, family_cap
 
 
+def nest(nodes):
+    """The clusters of a (parent, mults) table in which every parent
+    precedes its children; children keep their table order."""
+    built = {}
+    for i in reversed(range(len(nodes))):
+        kids = tuple(built.pop(j) for j in sorted(built) if nodes[j][0] == i)
+        built[i] = PointNode(dict(nodes[i][1]), kids)
+    assert all(nodes[i][0] is None for i in built)
+    return tuple(built[i] for i in sorted(built))
+
+
 def fp(degrees, nodes, labels=None):
     labels = labels or tuple(f"X{i}" for i in range(len(degrees)))
-    built = tuple(
-        PointNode(i, parent, dict(mults)) for i, (parent, mults) in enumerate(nodes)
-    )
-    return ConfigFingerprint(tuple(degrees), tuple(labels), built)
+    return ConfigFingerprint(tuple(degrees), tuple(labels), nest(nodes))
 
 
 def trace_combo(degree, *pqs):
@@ -44,8 +54,8 @@ def family_traces(kind, p=None):
 
 
 def shape(f):
-    triples = sum(1 for r in f.roots() if len(f.curves_in_cluster(r)) == 3)
-    doubles = sum(1 for r in f.roots() if len(f.curves_in_cluster(r)) == 2)
+    triples = sum(1 for r in f.clusters if len(r.curves()) == 3)
+    doubles = sum(1 for r in f.clusters if len(r.curves()) == 2)
     return sorted(f.degrees), triples, doubles
 
 
@@ -63,12 +73,13 @@ def test_fingerprint_rejects_child_off_parent():
 
 
 def test_fingerprint_rejects_malformed_nodes():
-    with pytest.raises(ValueError, match="ids"):
-        ConfigFingerprint((1,), ("L",), (PointNode(1, None, {0: 2}),))
     with pytest.raises(ValueError, match="multiplicities"):
         fp([1], [(None, {0: 0})])
     with pytest.raises(ValueError, match="degrees"):
         fp([0], [])
+    shared = PointNode({0: 1, 1: 1})
+    with pytest.raises(ValueError, match="one place"):
+        ConfigFingerprint((1, 1), ("L", "M"), (shared, shared))
 
 
 def conic_and_tangents(concurrent):
@@ -92,7 +103,7 @@ def test_pairing_helpers():
     assert f.simple_tangency(0, 3)
     assert not f.simple_tangency(0, 1)
     assert f.components_of_degree(2) == [3]
-    assert f.singular_nodes(3) == []
+    assert f.singular_points(3) == []
 
 
 def test_restrict_prunes_and_renumbers():
@@ -102,14 +113,86 @@ def test_restrict_prunes_and_renumbers():
     assert g.labels == ("L0", "Q")
     # only the tangency chain survives; the concurrency point is now a
     # plain point of one line and is forgotten
-    assert [(n.parent, n.mults) for n in g.nodes] == [
-        (None, {0: 1, 1: 1}),
-        (0, {0: 1, 1: 1}),
-    ]
+    (top,) = g.clusters
+    (below,) = top.children
+    assert top.mults == below.mults == {0: 1, 1: 1}
+    assert below.children == ()
     h = f.remove_component(3)
     assert h.degrees == (1, 1, 1)
-    assert len(h.nodes) == 1
-    assert h.node(0).mults == {0: 1, 1: 1, 2: 1}
+    (point,) = h.clusters
+    assert point.mults == {0: 1, 1: 1, 2: 1}
+    assert point.children == ()
+
+
+def prune_table_oracle(parents, mults):
+    """The pruning of the parent-table forest: keep the nodes with at
+    least two curves, one curve of multiplicity >= 2, or a kept
+    descendant; renumber them in preorder and lift each parent to its
+    nearest kept ancestor.  Returns the kept (parent, mults) table."""
+    kids = [[] for _ in parents]
+    for i, p in enumerate(parents):
+        if p is not None:
+            kids[p].append(i)
+
+    def visit(i):
+        below = [k for j in kids[i] for k in visit(j)]
+        own = len(mults[i]) >= 2 or any(m >= 2 for m in mults[i].values())
+        return [i] + below if below or own else []
+
+    order = [k for i, p in enumerate(parents) if p is None for k in visit(i)]
+    newid = {old: i for i, old in enumerate(order)}
+
+    def lifted(old):
+        p = parents[old]
+        while p is not None and p not in newid:
+            p = parents[p]
+        return None if p is None else newid[p]
+
+    return [(lifted(old), mults[old]) for old in order]
+
+
+@st.composite
+def point_tables(draw):
+    """A valid (degrees, parent/mults table) pair: a random forest whose
+    children pass through a subset of their parent's curves, closed up
+    by one root per pair of curves that makes every Bezout total come
+    out as the product of the degrees."""
+    n = draw(st.integers(1, 4))
+    table = []
+    for i in range(draw(st.integers(0, 8))):
+        parent = draw(st.one_of(st.none(), st.integers(0, i - 1))) if i else None
+        room = sorted(table[parent][1]) if parent is not None else list(range(n))
+        curves = draw(st.lists(st.sampled_from(room), min_size=1, unique=True))
+        table.append((parent, {c: draw(st.integers(1, 2)) for c in curves}))
+
+    def total(u, v):
+        return sum(m.get(u, 0) * m.get(v, 0) for _, m in table)
+
+    degrees = [max([1] + [total(u, v) for v in range(n) if v != u]) for u in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            short = degrees[u] * degrees[v] - total(u, v)
+            if short:
+                table.append((None, {u: short, v: 1}))
+    return degrees, table
+
+
+@given(point_tables(), st.data())
+@settings(max_examples=200)
+def test_restrict_prunes_as_the_parent_table_oracle(case, data):
+    degrees, table = case
+    keep = data.draw(st.lists(st.sampled_from(range(len(degrees))), unique=True))
+    f = fp(degrees, table)
+    got = f.restrict(keep)
+    kept = sorted(keep)
+    remap = {c: i for i, c in enumerate(kept)}
+    pruned = prune_table_oracle(
+        [p for p, _ in table],
+        [{remap[c]: m for c, m in mults.items() if c in remap} for _, mults in table],
+    )
+    want = fp([degrees[c] for c in kept], pruned, [f.labels[c] for c in kept])
+    assert got.to_dict() == want.to_dict()
+    assert got.summary() == want.summary()
 
 
 # ------------------------------------------------- catalog, by hand
@@ -228,7 +311,7 @@ def test_every_trace_accounts_for_all_intersections():
             for u in range(len(f.degrees)):
                 for v in range(u + 1, len(f.degrees)):
                     got = sum(
-                        n.mults.get(u, 0) * n.mults.get(v, 0) for n in f.nodes
+                        p.mults.get(u, 0) * p.mults.get(v, 0) for p in f.points()
                     )
                     assert got == f.degrees[u] * f.degrees[v]
 
@@ -245,7 +328,7 @@ def test_tricuspidal_quartic_images():
     assert shape(second) == ([1] * 7, 7, 0)
     assert shape(third) == ([1] * 7, 7, 0)
     for f in (first, second, third):
-        assert all(len(f.tree(r)) == 1 for r in f.roots())
+        assert all(r.children == () for r in f.clusters)
 
 
 def test_four_line_images():

@@ -26,11 +26,9 @@ def test_lens_validation():
             LensSpace(p, q)
 
 
-def test_inverse_and_canonical():
+def test_inverse_and_str():
     L = LensSpace(25, 21)
     assert L.q_inv == 6
-    assert L.canonical() == LensSpace(25, 6)
-    assert L.reversed_orientation() == LensSpace(25, 4)
     assert str(L) == "L(25,21)"
 
 

@@ -40,7 +40,7 @@ def star_legs(g, center):
 
 
 def the_center(g):
-    centers = [v for v in range(g.n) if g.degree(v) == 3]
+    centers = [v for v in range(g.n) if len(g.neighbors(v)) == 3]
     assert len(centers) == 1
     return centers[0]
 

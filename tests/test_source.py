@@ -66,3 +66,59 @@ def test_each_cusp_literal_is_written_once():
                 seen.setdefault(pq, []).append(f"{path.name}:{node.lineno}")
     assert seen
     assert {pq: where for pq, where in seen.items() if len(where) > 1} == {}
+
+
+# functions kept for the tests, which use them as independent oracles
+# (continuant has one src caller, the oracle cf_dual), and a method that
+# argparse calls
+ORACLES = {
+    "cf_dual",
+    "continuant",
+    "nc_resolution",
+    "GramForm.negative_definite",
+    "_Parser.error",
+}
+
+
+def test_src_functions_have_src_callers():
+    # a helper that only the tests call is library surface nobody runs.
+    # Names are matched, not bindings: a method counts as referenced by
+    # any attribute load of its name, any other function by a name or
+    # attribute load, an import or an __all__ entry, so a method that
+    # shares its name with some attribute passes.  Dunders are exempt.
+    defined = []
+    attrs, names = set(), set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+        method_of = {
+            fn: cls.name
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+            if isinstance(fn, functions)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, functions):
+                defined.append((path.name, method_of.get(node), node.name))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(a.name for a in node.names)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                names.update(ast.literal_eval(node.value))
+    assert defined
+    unused = []
+    for module, owner, name in defined:
+        qualname = f"{owner}.{name}" if owner else name
+        if (name.startswith("__") and name.endswith("__")) or qualname in ORACLES:
+            continue
+        if name not in attrs and (owner or name not in names):
+            unused.append(f"{module}:{qualname}")
+    assert unused == []
+    # an oracle that is gone leaves no stale exemption behind
+    assert ORACLES <= {f"{o}.{n}" if o else n for _, o, n in defined}
