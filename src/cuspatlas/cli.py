@@ -33,6 +33,7 @@ from .cusp import (
     fibonacci_cusp,
     fibonacci_index,
     ms_recognize,
+    semigroup_condition,
     unicuspidal_families,
 )
 from .lattice import (
@@ -222,7 +223,8 @@ def _gate_failures(combo: Optional[CuspCombo], results: dict, lines: list[str]) 
     """
     if combo is None:
         return False
-    failed = [v for v in arithmetic_verdicts(combo) if v.failed]
+    verdicts = arithmetic_verdicts(combo, semigroup_condition(combo))
+    failed = [v for v in verdicts if v.failed]
     results["failed_rules"] = [v.to_dict() for v in failed]
     lines.extend(f"  {v.rule} fails: {v.details}" for v in failed)
     return bool(failed)

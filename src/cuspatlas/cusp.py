@@ -11,8 +11,17 @@ gap count G(n) = #(gaps of <p,q> in [0, n)) is nondecreasing and equals
 delta from the conductor c = (p-1)(q-1) on.  So the min-convolution of
 the R's of a combo is n minus the max-plus convolution H of the G's: a
 table of length sum(c) + 1 = (d-1)(d-2) + 1 at degree d, past whose end
-R(n) = n - genus.  Each combo builds H once, on first use, and every
-gate point reads it.
+R(n) = n - genus.
+
+The gate never builds H for a whole combo.  It folds the table of all
+cusps but the last and reads the last cusp only at the d gate points:
+H(n) = max_k H_prefix(n - k) + G_last(k).  H_prefix is nondecreasing,
+so on a run of constant G_last the smallest k wins, and only k = 0 and
+the rises of G_last (k = g + 1 for each gap g) need reading.  The
+enumerator (gated_combos) walks the combos as a tree of prefixes: each
+prefix folds its table from its parent's once, only when some cusp
+still fits, and its leaves share it.  semigroup_condition is the same
+reading for one combo.
 
 The named unicuspidal families are written here once: the A_p, B_p, E3
 and E6 curves in one table (family_combo, and family_of its inverse),
@@ -23,13 +32,19 @@ which plumbing.family_cap resolves into caps, and the Fibonacci cusps
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
+from itertools import accumulate
 from math import gcd
-from typing import Optional
+from operator import attrgetter
+from typing import Optional, Sequence
 
 from .cf import fib
 
 MultSeq = tuple[int, ...]
+# (k, G(k)) at each k where a gap count G rises, in increasing k
+GapRises = list[tuple[int, int]]
+# the first failing j of the semigroup gate with R(jd + 1), None on a pass
+Gate = Optional[tuple[int, int]]
 
 
 @dataclass(frozen=True, order=True)
@@ -72,8 +87,17 @@ class CuspType:
             counts.append(counts[-1] + (0 if member[n] else 1))
         return counts
 
+    def gap_rises(self) -> GapRises:
+        """(k, G(k)) at k = g + 1 for each gap g, the last at k = conductor."""
+        g = self.gap_counts()
+        return [(k, g[k]) for k in range(1, len(g)) if g[k] > g[k - 1]]
+
     def __str__(self) -> str:
         return f"({self.p},{self.q})"
+
+
+# the order of the generated CuspType.__lt__, without its Python-level calls
+_PQ = attrgetter("p", "q")
 
 
 def mult_seq(p: int, q: int) -> MultSeq:
@@ -120,19 +144,50 @@ def ms_recognize(seq: MultSeq) -> Optional[CuspType]:
     return CuspType(p, q)
 
 
-def _max_plus(head: list[int], g: list[int]) -> list[int]:
-    """max_k head(n - k) + g(k) for n = 0 .. len(head) - 1 + c, where g is
-    a gap count table G(0 .. c) and head is held at its last value past
-    its end.  For fixed n the head term does not grow with k, so on each
-    run of constant g only its first k counts: k = 0 and each rise."""
-    c = len(g) - 1
+def _max_plus(head: list[int], rises: GapRises) -> list[int]:
+    """max_k head(n - k) + G(k) for n = 0 .. len(head) - 1 + c, where G
+    is a gap count with these rises (the last at k = c) and head is held
+    at its last value past its end.  For fixed n the head term does not
+    grow with k, so on each run of constant G only its first k counts:
+    k = 0 and each rise."""
+    c = rises[-1][0]
     out = head + [head[-1]] * c
-    for k in range(1, c + 1):
-        if g[k] > g[k - 1]:
-            i = g[k]
-            shifted = [h + i for h in head] + [head[-1] + i] * (c - k)
-            out[k:] = map(max, out[k:], shifted)
+    for k, i in rises:
+        shifted = [h + i for h in head] + [head[-1] + i] * (c - k)
+        out[k:] = map(max, out[k:], shifted)
     return out
+
+
+def gap_table(cusps: Sequence[CuspType]) -> list[int]:
+    """H(0 .. sum c), the max-plus convolution of the cusps' gap counts;
+    [0] for no cusps."""
+    return reduce(_max_plus, (c.gap_rises() for c in cusps), [0])
+
+
+def counting_function(head: list[int], rises: GapRises, n: int) -> int:
+    """R(n) of a prefix of cusps with gap table head, plus one last cusp
+    with these gap rises: n - H(n), 0 for n <= 0.
+
+    H(n) = max_k head(n - k) + G(k), with head held at its last value
+    past its end.  As in _max_plus only k = 0 and the rises k <= n can
+    win, so no table is built for the last cusp."""
+    if n <= 0:
+        return 0
+    end = len(head) - 1
+    h = head[min(n, end)]
+    for k, i in rises:
+        if k > n:
+            break
+        h = max(h, head[min(n - k, end)] + i)
+    return n - h
+
+
+def _first_failure(degree: int, head: list[int], rises: GapRises) -> Gate:
+    for j in range(-1, degree - 1):
+        got = counting_function(head, rises, j * degree + 1)
+        if got != (j + 1) * (j + 2) // 2:
+            return j, got
+    return None
 
 
 @dataclass(frozen=True)
@@ -151,7 +206,7 @@ class CuspCombo:
             raise ValueError("degree >= 3")
         if not self.cusps:
             raise ValueError("need at least one cusp")
-        object.__setattr__(self, "cusps", tuple(sorted(self.cusps)))
+        object.__setattr__(self, "cusps", tuple(sorted(self.cusps, key=_PQ)))
         genus = (self.degree - 1) * (self.degree - 2) // 2
         total = sum(c.delta for c in self.cusps)
         if total != genus:
@@ -163,39 +218,22 @@ class CuspCombo:
     def total_milnor(self) -> int:
         return sum(c.milnor for c in self.cusps)
 
-    @cached_property
-    def gap_table(self) -> list[int]:
-        """H(0 .. sum c), the max-plus convolution of the cusps' gap
-        counts; it lives as long as this combo."""
-        return reduce(_max_plus, (c.gap_counts() for c in self.cusps), [0])
-
     def __str__(self) -> str:
         return "+".join(str(c) for c in self.cusps) + f" deg {self.degree}"
 
 
-def combo_R(combo: CuspCombo, n: int) -> int:
-    """Minimum convolution of the per-cusp counting functions at n.
-
-    (R1 <> R2)(n) = min_k R1(k) + R2(n-k) over k in [0, n], 0 for n <= 0.
-    With R = n - G this is n - H(n), read off the combo's `gap_table` H,
-    of length (d-1)(d-2) + 1 and held at its last value past its end.
-    """
-    if n <= 0:
-        return 0
-    h = combo.gap_table
-    return n - h[min(n, len(h) - 1)]
-
-
-def semigroup_condition(combo: CuspCombo) -> Optional[int]:
+def semigroup_condition(combo: CuspCombo) -> Gate:
     """Borodzik-Livingston gate: R(jd+1) = (j+1)(j+2)/2 for
-    j = -1 .. d-2.  Returns the first failing j, or None when the
-    combo passes."""
-    d = combo.degree
-    for j in range(-1, d - 1):
-        expected = (j + 1) * (j + 2) // 2
-        if combo_R(combo, j * d + 1) != expected:
-            return j
-    return None
+    j = -1 .. d-2.  Returns the first failing j with R(jd+1), or None
+    when the combo passes.
+
+    The gap table of all cusps but the last is folded once, and the
+    last cusp is read only at the gate points (counting_function), as
+    at the leaves of gated_combos.  Reading only k = 0 and the rises of
+    the last cusp's gap count is exact: the prefix table does not fall,
+    so on a run of constant gap count the smallest k wins."""
+    head = gap_table(combo.cusps[:-1])
+    return _first_failure(combo.degree, head, combo.cusps[-1].gap_rises())
 
 
 def cusp_types_with_delta(delta: int) -> list[CuspType]:
@@ -211,31 +249,54 @@ def cusp_types_with_delta(delta: int) -> list[CuspType]:
     return sorted(out)
 
 
-def enumerate_combos(degree: int) -> list[CuspCombo]:
-    """Every genus-balanced multiset of cusps at the given degree,
-    deterministic order (sorted by the cusp tuple)."""
+def gated_combos(degree: int) -> list[tuple[CuspCombo, Gate]]:
+    """Every genus-balanced multiset of cusps at the given degree, in
+    deterministic order (sorted by the cusp tuple), each with its
+    semigroup_condition outcome.
+
+    The walk chooses cusps in nondecreasing position of the sorted
+    types.  Each prefix folds its gap table from its parent's once, and
+    only if some type from its last one on still fits under the
+    remaining delta; a leaf builds no table and reads its last cusp at
+    the gate points (counting_function), stopping at the first failing
+    j.  Sibling leaves share the whole prefix, so one table serves them
+    all.  The tables and the types' gap rises live for one call."""
     if degree < 3:
         # checked up front: degree d < 0 has the genus of degree 3 - d
         raise ValueError(f"degree >= 3, got {degree}")
     genus = (degree - 1) * (degree - 2) // 2
     types = sorted(c for k in range(1, genus + 1) for c in cusp_types_with_delta(k))
     deltas = [c.delta for c in types]
-    results: list[tuple[CuspType, ...]] = []
+    rises = [c.gap_rises() for c in types]
+    # least[i]: the smallest delta among types[i:]
+    least = list(accumulate(reversed(deltas), min))[::-1]
+    results: list[tuple[CuspCombo, Gate]] = []
 
-    def extend(remaining: int, chosen: list[CuspType], floor: int) -> None:
-        # cusps are chosen in nondecreasing position of the sorted types,
-        # so the tuples come out in sorted order
-        if remaining == 0:
-            results.append(tuple(chosen))
-            return
+    def extend(
+        remaining: int, chosen: list[CuspType], floor: int, head: list[int]
+    ) -> None:
         for i in range(floor, len(types)):
-            if deltas[i] <= remaining:
-                chosen.append(types[i])
-                extend(remaining - deltas[i], chosen, i)
-                chosen.pop()
+            rest = remaining - deltas[i]
+            if rest < 0:
+                continue
+            chosen.append(types[i])
+            if rest == 0:
+                gate = _first_failure(degree, head, rises[i])
+                results.append((CuspCombo(degree, tuple(chosen)), gate))
+            elif least[i] <= rest:
+                extend(rest, chosen, i, _max_plus(head, rises[i]))
+            chosen.pop()
 
-    extend(genus, [], 0)
-    return [CuspCombo(degree, cs) for cs in results]
+    extend(genus, [], 0, [0])
+    return results
+
+
+def enumerate_combos(degree: int) -> list[CuspCombo]:
+    """Every genus-balanced multiset of cusps at the given degree,
+    deterministic order (sorted by the cusp tuple): the combos of
+    gated_combos, whose walk of prefix tables also runs the semigroup
+    gate."""
+    return [combo for combo, _ in gated_combos(degree)]
 
 
 # The named unicuspidal families: kind -> member p as (cusp, degree).

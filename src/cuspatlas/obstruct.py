@@ -21,13 +21,7 @@ from .blowdown import (
     blow_down_trace,
     catalog_lookup,
 )
-from .cusp import (
-    CuspCombo,
-    CuspType,
-    combo_R,
-    enumerate_combos,
-    semigroup_condition,
-)
+from .cusp import CuspCombo, CuspType, Gate, gated_combos
 from .lattice import Embedding, ambient, complement_form, enumerate_embeddings
 from .plumbing import CapRecipe, PlumbingGraph, build_cap, cap_for_combo
 
@@ -52,12 +46,12 @@ class ObstructionVerdict:
         return out
 
 
-def semigroup_verdict(combo: CuspCombo) -> ObstructionVerdict:
-    j = semigroup_condition(combo)
-    if j is None:
+def semigroup_verdict(combo: CuspCombo, gate: Gate) -> ObstructionVerdict:
+    """The verdict on the combo's semigroup_condition outcome."""
+    if gate is None:
         return ObstructionVerdict("Semigroup", "Pass")
+    j, got = gate
     d = combo.degree
-    got = combo_R(combo, j * d + 1)
     want = (j + 1) * (j + 2) // 2
     return ObstructionVerdict(
         "Semigroup",
@@ -86,7 +80,9 @@ def rh_instances(
 
 
 def riemann_hurwitz_verdict(combo: CuspCombo) -> ObstructionVerdict:
-    seqs = [c.mult_seq() for c in combo.cusps]
+    # the first two multiplicities of (p, q) are p and min(p, q - p); a
+    # second of 1 counts as none
+    seqs = [(c.p, min(c.p, c.q - c.p)) for c in combo.cusps]
     bad = [
         (base, lhs, rhs)
         for base, lhs, rhs in rh_instances(combo.degree, seqs)
@@ -196,10 +192,11 @@ def _final_status(
     return "Unknown"
 
 
-def arithmetic_verdicts(combo: CuspCombo) -> List[ObstructionVerdict]:
-    """The gates that need only the cusp data, each run unconditionally."""
+def arithmetic_verdicts(combo: CuspCombo, gate: Gate) -> List[ObstructionVerdict]:
+    """The gates that need only the cusp data, each run unconditionally;
+    gate is the combo's semigroup_condition outcome."""
     return [
-        semigroup_verdict(combo),
+        semigroup_verdict(combo, gate),
         riemann_hurwitz_verdict(combo),
         sextic_simple_verdict(combo),
     ]
@@ -231,9 +228,10 @@ def cap_verdicts(
     return [ObstructionVerdict("NoAdjunctiveEmbedding", "Pass", embedded), catalog]
 
 
-def run_pipeline(combo: CuspCombo) -> ClassificationRecord:
-    """Run every rule, then cap, embeddings, blow-downs, catalog."""
-    verdicts = arithmetic_verdicts(combo)
+def run_pipeline(combo: CuspCombo, gate: Gate) -> ClassificationRecord:
+    """Run every rule, then cap, embeddings, blow-downs, catalog; gate is
+    the combo's semigroup_condition outcome."""
+    verdicts = arithmetic_verdicts(combo, gate)
     recipe = cap_for_combo(combo)
     cap_kind = cap_error = None
     embeddings: List[Embedding] = []
@@ -263,5 +261,6 @@ def run_pipeline(combo: CuspCombo) -> ClassificationRecord:
 
 def classify_degree(degree: int) -> List[ClassificationRecord]:
     """The pipeline over every genus-balanced combination, in the
-    enumerator's deterministic order."""
-    return [run_pipeline(combo) for combo in enumerate_combos(degree)]
+    enumerator's deterministic order, on the semigroup outcomes the
+    enumerator computes as it walks."""
+    return [run_pipeline(combo, gate) for combo, gate in gated_combos(degree)]

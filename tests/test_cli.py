@@ -13,7 +13,7 @@ import pytest
 
 from cuspatlas import cli
 from cuspatlas.cli import main
-from cuspatlas.cusp import enumerate_combos
+from cuspatlas.cusp import enumerate_combos, semigroup_condition
 from cuspatlas.obstruct import run_pipeline
 from cuspatlas.plumbing import cap_for_combo
 
@@ -172,7 +172,7 @@ def test_blowdown_exit_status_is_the_pipeline_verdict():
             if cap_for_combo(combo) is None:
                 continue
             spec = "+".join(f"{c.p},{c.q}" for c in combo.cusps)
-            record = run_pipeline(combo)
+            record = run_pipeline(combo, semigroup_condition(combo))
             code, _ = run_json("blowdown", spec)
             assert code == (2 if any(v.failed for v in record.verdicts) else 0), spec
             codes[code] += 1

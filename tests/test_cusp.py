@@ -1,18 +1,20 @@
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cuspatlas.cusp import (
     CuspCombo,
     CuspType,
-    combo_R,
+    counting_function,
     cusp_types_with_delta,
     enumerate_combos,
     family_combo,
     family_of,
     fibonacci_index,
+    gap_table,
+    gated_combos,
     mult_seq,
     ms_recognize,
     semigroup_condition,
@@ -93,6 +95,16 @@ def test_mult_seq_frozen():
     assert mult_seq(2, 13) == (2,) * 6
 
 
+def test_mult_seq_opens_with_p_then_the_least_of_p_and_q_minus_p():
+    # the two multiplicities the Riemann-Hurwitz gate reads, without the
+    # whole sequence; a second of 1 stands for none
+    types = [c for k in range(1, 46) for c in cusp_types_with_delta(k)]
+    assert len(types) > 100
+    for c in types:
+        seq = mult_seq(c.p, c.q) + (1,)
+        assert seq[:2] == (c.p, min(c.p, c.q - c.p)), c
+
+
 @given(cusp_pairs)
 def test_mult_seq_absorbs_delta(pq):
     p, q = pq
@@ -142,7 +154,7 @@ def test_semigroup_R_frozen():
     assert semigroup_R(CuspType(2, 3), 1) == 1
     assert semigroup_R(CuspType(2, 3), 0) == 0
     # the min-convolution is zero on nonpositive arguments
-    assert combo_R(CuspCombo(3, (CuspType(2, 3),)), -3) == 0
+    assert counting_function([0], CuspType(2, 3).gap_rises(), -3) == 0
 
 
 @given(cusp_pairs, st.integers(0, 120))
@@ -171,9 +183,10 @@ def test_combo_validation():
 
 
 def test_combo_R_single_matches_semigroup_R():
-    combo = CuspCombo(5, (CuspType(4, 5),))
+    # one cusp after the empty prefix, whose gap table is [0]
+    rises = CuspType(4, 5).gap_rises()
     for n in range(0, 17):
-        assert combo_R(combo, n) == semigroup_R(CuspType(4, 5), n)
+        assert counting_function([0], rises, n) == semigroup_R(CuspType(4, 5), n)
 
 
 @st.composite
@@ -192,39 +205,62 @@ def random_combos(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(random_combos())
+# (2,7) read last after (3,4) needs the k = 0 term at n = 3
+@example(CuspCombo(5, (CuspType(2, 7), CuspType(3, 4))))
 def test_gap_table_matches_the_min_convolution(combo):
     total = sum(c.conductor for c in combo.cusps)
     assert total == (combo.degree - 1) * (combo.degree - 2)
-    assert len(combo.gap_table) == total + 1
-    for n in range(-5, total + 6):
-        assert combo_R(combo, n) == min_convolution_oracle(combo.cusps, n), n
+    assert len(gap_table(combo.cusps)) == total + 1
+    want = {n: min_convolution_oracle(combo.cusps, n) for n in range(-5, total + 6)}
     # past the end of the table, R(n) = n - genus
-    assert combo_R(combo, total + 5) == total + 5 - total // 2
+    assert want[total + 5] == total + 5 - total // 2
+    # the table of the other cusps, read with one last cusp; the
+    # convolution commutes, so each cusp is read last in turn (the gate
+    # reads the largest last, where the k = 0 term never wins)
+    for i, last in enumerate(combo.cusps):
+        head = gap_table(combo.cusps[:i] + combo.cusps[i + 1 :])
+        for n in range(-5, total + 6):
+            assert counting_function(head, last.gap_rises(), n) == want[n], (i, n)
 
 
 def test_gate_and_witness_match_the_oracle_through_degree_7():
     combos = [c for d in range(4, 8) for c in enumerate_combos(d)]
     want = [semigroup_witness_oracle(c) for c in combos]
     for combo, w in zip(combos, want):
-        v = semigroup_verdict(combo)
+        gate = semigroup_condition(combo)
+        v = semigroup_verdict(combo, gate)
         assert v.witness == w, combo
         assert v.failed == (w is not None)
-        assert semigroup_condition(combo) == (None if w is None else w["j"])
+        assert gate == (None if w is None else (w["j"], w["value"]))
     assert sum(w is None for w in want) == 4 + 17 + 57 + 171
+
+
+def test_enumerator_gate_matches_the_single_combo_gate():
+    # the walk's outcome from shared prefix tables, against the gate of
+    # a combo rebuilt from the same cusps, and through degree 7 against
+    # the min-convolution oracle
+    for degree in range(4, 9):
+        for combo, gate in gated_combos(degree):
+            alone = CuspCombo(degree, combo.cusps)
+            assert gate == semigroup_condition(alone), combo
+            if degree <= 7:
+                w = semigroup_witness_oracle(alone)
+                assert gate == (None if w is None else (w["j"], w["value"])), combo
 
 
 def test_semigroup_pass_counts_frozen():
     # the degree-9 count was checked once against the min-convolution oracle
     for degree, passed, total in ((8, 778, 4704), (9, 1545, 37135)):
-        combos = enumerate_combos(degree)
-        assert len(combos) == total
-        assert sum(semigroup_condition(c) is None for c in combos) == passed
+        gates = [gate for _, gate in gated_combos(degree)]
+        assert len(gates) == total
+        assert sum(gate is None for gate in gates) == passed
 
 
 def test_semigroup_condition_frozen():
+    # the first failing j with R(jd + 1), or None
     assert semigroup_condition(CuspCombo(5, (CuspType(4, 5),))) is None
-    assert semigroup_condition(CuspCombo(5, (CuspType(3, 7),))) == 1
-    assert semigroup_condition(CuspCombo(5, (CuspType(3, 4), CuspType(3, 4)))) == 1
+    assert semigroup_condition(CuspCombo(5, (CuspType(3, 7),))) == (1, 2)
+    assert semigroup_condition(CuspCombo(5, (CuspType(3, 4), CuspType(3, 4)))) == (1, 2)
     assert semigroup_condition(CuspCombo(5, (CuspType(2, 13),))) is None
     assert (
         semigroup_condition(CuspCombo(4, (CuspType(2, 5), CuspType(2, 3)))) is None

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cuspatlas.blowdown import OBSTRUCTED
-from cuspatlas.cusp import CuspCombo, CuspType, enumerate_combos
+from cuspatlas.cusp import CuspCombo, CuspType, enumerate_combos, semigroup_condition
 from cuspatlas.obstruct import (
     classify_degree,
     is_simple_cusp,
@@ -22,6 +22,12 @@ from cuspatlas.obstruct import (
 
 def combo(degree, *pqs):
     return CuspCombo(degree, tuple(CuspType(p, q) for p, q in pqs))
+
+
+def pipeline(c):
+    """run_pipeline on the combo's own semigroup gate, as the single-combo
+    commands run it."""
+    return run_pipeline(c, semigroup_condition(c))
 
 
 def sig(rec):
@@ -41,10 +47,12 @@ def quintic():
 
 
 def test_semigroup_witness_names_the_argument():
-    v = semigroup_verdict(combo(5, (3, 7)))
+    c = combo(5, (3, 7))
+    v = semigroup_verdict(c, semigroup_condition(c))
     assert v.failed
     assert v.witness == {"j": 1, "argument": 6, "value": 2, "required": 3}
-    assert semigroup_verdict(combo(5, (4, 5))).outcome == "Pass"
+    c = combo(5, (4, 5))
+    assert semigroup_verdict(c, semigroup_condition(c)).outcome == "Pass"
 
 
 def test_riemann_hurwitz_witnesses():
@@ -236,14 +244,14 @@ def test_cubic_status():
 
 
 def test_degree_six_torus_cusps_classify():
-    assert run_pipeline(combo(6, (5, 6))).final_status == "UniqueInPlane"
-    rec = run_pipeline(combo(6, (3, 11)))
+    assert pipeline(combo(6, (5, 6))).final_status == "UniqueInPlane"
+    rec = pipeline(combo(6, (3, 11)))
     assert rec.final_status == "UniqueInPlane"
     assert rec.to_dict()["ambients"] == ["CP2", "S2xS2"]
 
 
 def test_no_recipe_reported_not_fatal():
-    rec = run_pipeline(combo(6, (4, 7), (2, 3)))
+    rec = pipeline(combo(6, (4, 7), (2, 3)))
     assert rec.cap_error == "no stock cap recipe for this combination"
     assert rec.embeddings == []
 
@@ -254,8 +262,8 @@ def test_record_is_json_and_deterministic(quintic):
         assert json.loads(json.dumps(d)) == d
         assert {"combo", "verdicts", "embeddings", "ambients", "fingerprints",
                 "final_status"} <= set(d)
-    a = run_pipeline(combo(5, (2, 5), (2, 9))).to_dict()
-    b = run_pipeline(combo(5, (2, 5), (2, 9))).to_dict()
+    a = pipeline(combo(5, (2, 5), (2, 9))).to_dict()
+    b = pipeline(combo(5, (2, 5), (2, 9))).to_dict()
     assert a == b
 
 
@@ -265,4 +273,4 @@ def test_a_repeated_census_gives_the_same_records():
     # first, and both with combos gated one at a time
     first = [r.to_dict() for r in classify_degree(6)]
     assert [r.to_dict() for r in classify_degree(6)] == first
-    assert [run_pipeline(c).to_dict() for c in enumerate_combos(6)] == first
+    assert [pipeline(c).to_dict() for c in enumerate_combos(6)] == first
