@@ -25,7 +25,6 @@ from math import isqrt
 from typing import Optional, Sequence
 
 from . import __version__
-from .blowdown import blow_down_trace, catalog_lookup
 from .cusp import (
     CuspCombo,
     CuspType,
@@ -36,17 +35,11 @@ from .cusp import (
     semigroup_condition,
     unicuspidal_families,
 )
-from .lattice import (
-    Embedding,
-    HClass,
-    ambient,
-    complement_form,
-    enumerate_embeddings,
-)
+from .lattice import Embedding, HClass, ambient, complement_form
 from .lens import LensSpace, fibonacci_boundary, rational_ball_string
 from .lens import to_dict as lens_report
 from .lens import wahl_family
-from .obstruct import arithmetic_verdicts, cap_verdicts, classify_degree
+from .obstruct import arithmetic_verdicts, classify_degree, image_dict, run_cap
 from .plumbing import (
     CapRecipe,
     PlumbingGraph,
@@ -318,7 +311,7 @@ def cmd_cap(args) -> tuple[dict, list[str], Optional[str], int]:
 
 def cmd_embed(args) -> tuple[dict, list[str], Optional[str], int]:
     recipe, combo = _parse_cap(args.spec)
-    embs = enumerate_embeddings(build_cap(recipe))
+    embs = run_cap(recipe).embeddings
     dicts = []
     lines = [f"cap {recipe.kind}: {len(embs)} embeddings"]
     for e in embs:
@@ -336,32 +329,18 @@ def cmd_embed(args) -> tuple[dict, list[str], Optional[str], int]:
 
 def cmd_blowdown(args) -> tuple[dict, list[str], Optional[str], int]:
     recipe, combo = _parse_cap(args.spec)
-    g = build_cap(recipe)
-    embs = enumerate_embeddings(g)
-    catalog = []
+    cap = run_cap(recipe)
     entries = []
-    lines = []
-    for e in embs:
-        trace = blow_down_trace(e)
-        entry = catalog_lookup(trace)
-        catalog.append(entry)
-        entries.append(
-            {
-                "k": e.k,
-                "ambient": ambient(e),
-                "summary": trace.summary(),
-                "image": trace.to_dict(),
-                "catalog": entry.to_dict(),
-            }
-        )
+    lines = [f"cap {recipe.kind}: {len(cap.embeddings)} embeddings"]
+    for e, trace, entry in zip(cap.embeddings, cap.fingerprints, cap.entries):
+        entries.append({"k": e.k, "ambient": ambient(e), **image_dict(trace, entry)})
         lines.append(f"  k={e.k} {trace.summary()}")
         lines.append(f"    {entry.pattern}: {entry.status} ({entry.reason})")
     inputs = {"spec": list(args.spec)}
-    results = {"cap": _cap_dict(recipe), "count": len(embs), "entries": entries}
-    dead = any(v.failed for v in cap_verdicts(recipe, g, catalog))
-    lines.insert(0, f"cap {recipe.kind}: {len(embs)} embeddings")
+    results = {"cap": _cap_dict(recipe), "count": len(entries), "entries": entries}
+    dead = any(v.failed for v in cap.verdicts)
     code = 2 if _gate_failures(combo, results, lines) or dead else 0
-    tags = [entry.provenance for entry in catalog]
+    tags = [entry.provenance for entry in cap.entries]
     return _report("blowdown", inputs, results, tags), lines, None, code
 
 
@@ -413,7 +392,7 @@ def _unicuspidal_entry(cusp: CuspType, degree: int) -> dict:
         entry["note"] = "no stock cap recipe"
     else:
         entry["family"] = recipe.kind if recipe.p is None else f"{recipe.kind[0]}{recipe.p}"
-        embs = enumerate_embeddings(build_cap(recipe))
+        embs = run_cap(recipe).embeddings
         entry["count"] = len(embs)
         entry["ks"] = [e.k for e in embs]
         entry["ambients"] = [ambient(e) for e in embs]
@@ -421,9 +400,11 @@ def _unicuspidal_entry(cusp: CuspType, degree: int) -> dict:
         entry["complement_dets"] = [form.det for form in forms]
         entry["complement_parities"] = [form.parity for form in forms]
         if recipe.kind == "B_p":
-            # rational blow-down: one filling carries a (-4)-sphere class
-            for e in embs:
-                cls = _sphere_class(e)
+            # rational blow-down: one filling carries a (-4)-sphere class.
+            # The class is orthogonal to every vertex class, so it lies
+            # in the complement, and a rank-0 complement has none
+            for e, form in zip(embs, forms):
+                cls = _sphere_class(e) if form.rank else None
                 if cls is not None:
                     entry["rational_blowdown"] = {
                         "k": e.k,

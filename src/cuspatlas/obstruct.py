@@ -3,9 +3,11 @@
 Each rule reports a Pass or Fail verdict carrying a machine-checkable
 witness.  Rules run unconditionally: a combination that dies at one
 gate is still pushed through the others, so the record shows every
-obstruction that bites.  When a stock cap exists the pipeline also
-enumerates adjunctive embeddings, blows each one down, consults the
-plane-configuration catalog, and aggregates a final status.
+obstruction that bites.  When a stock cap exists the pipeline also runs
+it through `run_cap`, the one function that builds a cap, enumerates its
+adjunctive embeddings, blows each one down, consults the
+plane-configuration catalog and reads the cap's verdicts; the pipeline
+then aggregates a final status.
 """
 
 from __future__ import annotations
@@ -128,57 +130,68 @@ def sextic_simple_verdict(combo: CuspCombo) -> ObstructionVerdict:
     )
 
 
+def image_dict(f: ConfigFingerprint, entry: CatalogEntry) -> dict:
+    """The report of one blown-down image and its catalog entry."""
+    return {"summary": f.summary(), "image": f.to_dict(), "catalog": entry.to_dict()}
+
+
+@dataclass(frozen=True)
+class CapRun:
+    """One cap through every stage: its graph, its adjunctive embeddings,
+    the blow-down image and catalog entry of each, and the cap's
+    verdicts."""
+
+    recipe: CapRecipe
+    graph: PlumbingGraph
+    embeddings: Sequence[Embedding]
+    fingerprints: List[ConfigFingerprint]
+    entries: List[CatalogEntry]
+    verdicts: List[ObstructionVerdict]
+
+
 @dataclass
 class ClassificationRecord:
-    """Everything the pipeline learned about one combination."""
+    """Everything the pipeline learned about one combination; cap is None
+    when the combination has no stock cap."""
 
     combo: CuspCombo
     verdicts: List[ObstructionVerdict]
-    cap_kind: Optional[str]
-    cap_error: Optional[str]
-    embeddings: List[Embedding]
-    fingerprints: List[ConfigFingerprint]
-    entries: List[CatalogEntry]
+    cap: Optional[CapRun]
     final_status: str
 
     def to_dict(self) -> dict:
+        cap = self.cap
+        embeddings = [] if cap is None else cap.embeddings
+        images = [] if cap is None else zip(cap.fingerprints, cap.entries)
         return {
             "combo": str(self.combo),
             "degree": self.combo.degree,
             "cusps": [[c.p, c.q] for c in self.combo.cusps],
             "verdicts": [v.to_dict() for v in self.verdicts],
-            "cap": self.cap_kind,
-            "cap_error": self.cap_error,
+            "cap": None if cap is None else cap.recipe.kind,
+            "cap_error": (
+                "no stock cap recipe for this combination" if cap is None else None
+            ),
             "embeddings": [
                 {**e.to_dict(), "complement": complement_form(e).to_dict()}
-                for e in self.embeddings
+                for e in embeddings
             ],
-            "ambients": [ambient(e) for e in self.embeddings],
-            "fingerprints": [
-                {
-                    "summary": f.summary(),
-                    "image": f.to_dict(),
-                    "catalog": entry.to_dict(),
-                }
-                for f, entry in zip(self.fingerprints, self.entries)
-            ],
+            "ambients": [ambient(e) for e in embeddings],
+            "fingerprints": [image_dict(f, entry) for f, entry in images],
             "final_status": self.final_status,
         }
 
 
-def _final_status(
-    verdicts: List[ObstructionVerdict],
-    cap_error: Optional[str],
-    embeddings: List[Embedding],
-    entries: List[CatalogEntry],
-) -> str:
+def _final_status(verdicts: List[ObstructionVerdict], cap: Optional[CapRun]) -> str:
     if any(v.failed for v in verdicts):
         return "Obstructed"
-    if cap_error is not None:
+    if cap is None:
         return "Unknown"
     # a failed cap verdict has ruled out a cap with no viable embedding
     viable = [
-        (e, ent) for e, ent in zip(embeddings, entries) if ent.status != OBSTRUCTED
+        (e, ent)
+        for e, ent in zip(cap.embeddings, cap.entries)
+        if ent.status != OBSTRUCTED
     ]
     plane = [(e, ent) for e, ent in viable if e.k == 0]
     if plane:
@@ -228,35 +241,27 @@ def cap_verdicts(
     return [ObstructionVerdict("NoAdjunctiveEmbedding", "Pass", embedded), catalog]
 
 
+def run_cap(recipe: CapRecipe) -> CapRun:
+    """Build the cap, enumerate its embeddings, blow each one down, look
+    each image up in the catalog and read the cap's verdicts."""
+    graph = build_cap(recipe)
+    embeddings = enumerate_embeddings(graph)
+    fingerprints = [blow_down_trace(e) for e in embeddings]
+    entries = [catalog_lookup(f) for f in fingerprints]
+    verdicts = cap_verdicts(recipe, graph, entries)
+    return CapRun(recipe, graph, embeddings, fingerprints, entries, verdicts)
+
+
 def run_pipeline(combo: CuspCombo, gate: Gate) -> ClassificationRecord:
-    """Run every rule, then cap, embeddings, blow-downs, catalog; gate is
+    """Run every rule, then the stock cap's stages if it has one; gate is
     the combo's semigroup_condition outcome."""
     verdicts = arithmetic_verdicts(combo, gate)
     recipe = cap_for_combo(combo)
-    cap_kind = cap_error = None
-    embeddings: List[Embedding] = []
-    fingerprints: List[ConfigFingerprint] = []
-    entries: List[CatalogEntry] = []
-    if recipe is None:
-        cap_error = "no stock cap recipe for this combination"
-    else:
-        cap_kind = recipe.kind
-        graph = build_cap(recipe)
-        embeddings = enumerate_embeddings(graph)
-        fingerprints = [blow_down_trace(e) for e in embeddings]
-        entries = [catalog_lookup(f) for f in fingerprints]
-        verdicts += cap_verdicts(recipe, graph, entries)
-    status = _final_status(verdicts, cap_error, embeddings, entries)
-    return ClassificationRecord(
-        combo,
-        verdicts,
-        cap_kind,
-        cap_error,
-        embeddings,
-        fingerprints,
-        entries,
-        status,
-    )
+    cap = None
+    if recipe is not None:
+        cap = run_cap(recipe)
+        verdicts += cap.verdicts
+    return ClassificationRecord(combo, verdicts, cap, _final_status(verdicts, cap))
 
 
 def classify_degree(degree: int) -> List[ClassificationRecord]:

@@ -67,10 +67,10 @@ def test_c2_degree_four_embeddings_and_forms():
     assert len(records) == 4
 
     tri = next(r for r in records if sig(r) == ((2, 3), (2, 3), (2, 3)))
-    assert len(tri.embeddings) == 3
-    fano = [e for e in tri.entries if e.pattern == "fano-plane"]
+    assert len(tri.cap.embeddings) == 3
+    fano = [e for e in tri.cap.entries if e.pattern == "fano-plane"]
     assert len(fano) == 2 and all(e.status == "Obstructed" for e in fano)
-    survivors = [e for e in tri.entries if e.status != "Obstructed"]
+    survivors = [e for e in tri.cap.entries if e.status != "Obstructed"]
     assert len(survivors) == 1
     assert tri.final_status == "UniqueInPlane"
 
@@ -116,7 +116,7 @@ def test_c4_obstruction_gates_exact():
         ((2, 3), (2, 3), (2, 3), (3, 4)),
         ((2, 3), (2, 3), (3, 5)),
     }
-    empty = {sig(r) for r in records if r.cap_error is None and not r.embeddings}
+    empty = {sig(r) for r in records if r.cap is not None and not r.cap.embeddings}
     assert empty == {((3, 7),), ((3, 4), (3, 4))}
 
 

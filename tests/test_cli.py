@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -14,8 +15,9 @@ import pytest
 from cuspatlas import cli
 from cuspatlas.cli import main
 from cuspatlas.cusp import enumerate_combos, semigroup_condition
+from cuspatlas.lattice import HClass, enumerate_embeddings
 from cuspatlas.obstruct import run_pipeline
-from cuspatlas.plumbing import cap_for_combo
+from cuspatlas.plumbing import build_cap, cap_for_combo, family_cap
 
 
 def run(*argv):
@@ -173,9 +175,19 @@ def test_blowdown_exit_status_is_the_pipeline_verdict():
                 continue
             spec = "+".join(f"{c.p},{c.q}" for c in combo.cusps)
             record = run_pipeline(combo, semigroup_condition(combo))
-            code, _ = run_json("blowdown", spec)
+            code, rep = run_json("blowdown", spec)
             assert code == (2 if any(v.failed for v in record.verdicts) else 0), spec
             codes[code] += 1
+            # and the same blown-down images and classes as the record's
+            want = record.to_dict()
+            images = [
+                {key: e[key] for key in ("summary", "image", "catalog")}
+                for e in rep["results"]["entries"]
+            ]
+            assert images == want["fingerprints"], spec
+            _, rep = run_json("embed", spec)
+            classes = [e["classes"] for e in rep["results"]["embeddings"]]
+            assert classes == [e["classes"] for e in want["embeddings"]], spec
     assert codes == {0: 15, 2: 9}  # the nine Obstructed quintics
 
 
@@ -242,6 +254,35 @@ def test_unicuspidal_family_b3_blowdown_note():
     assert "even" in entry["complement_parities"]
     note = entry["rational_blowdown"]
     assert note["square"] == -4 and note["k"] == 1
+
+
+def full_sphere_scan(emb):
+    # every quadruple of exceptional indices in every filling, k = 0 too
+    for quad in combinations(range(emb.n_used), 4):
+        for pos in quad:
+            cls = HClass.make(0, {i: 1 if i == pos else -1 for i in quad})
+            if all(cls.pairing(c) == 0 for c in emb.classes):
+                return cls
+    return None
+
+
+@pytest.mark.parametrize(
+    "family, kind, p",
+    [(f"B{p}", "B_p", p) for p in range(2, 13)]
+    + [("E3", "E3", None), ("E6", "E6", None)],
+)
+def test_rational_blowdown_is_the_full_scans_first_hit(family, kind, p):
+    # unicuspidal skips the fillings whose complement has rank 0
+    want = None
+    for e in enumerate_embeddings(build_cap(family_cap(kind, p))):
+        cls = full_sphere_scan(e)
+        if cls is not None:
+            want = {"k": e.k, "class": str(cls), "square": cls.square}
+            break
+    _, rep = run_json("unicuspidal", "--family", family)
+    (entry,) = rep["results"]["families"]
+    assert entry.get("rational_blowdown") == want
+    assert (want is None) == (kind != "B_p")
 
 
 def test_unicuspidal_no_recipe_still_reports():

@@ -194,13 +194,13 @@ def test_a_cap_is_dead_exactly_when_no_embedding_is_viable():
     dead_caps = 0
     for degree in (3, 4, 5, 6):
         for rec in classify_degree(degree):
-            if rec.cap_kind is None:
+            if rec.cap is None:
                 continue
-            viable = any(ent.status != OBSTRUCTED for ent in rec.entries)
+            viable = any(ent.status != OBSTRUCTED for ent in rec.cap.entries)
             dead = any(failed(rec, rule) for rule in cap_rules)
             assert dead == (not viable), rec.combo
             rules = [v.rule for v in rec.verdicts[3:]]
-            assert rules == cap_rules[: 1 + bool(rec.entries)]
+            assert rules == cap_rules[: 1 + bool(rec.cap.entries)]
             dead_caps += dead
     assert dead_caps > 0
 
@@ -221,7 +221,7 @@ def test_blowup_only_records_have_no_plane_embedding(quintic):
         (rec,) = [r for r in quintic if sig(r) == key]
         d = rec.to_dict()
         assert d["ambients"] == ["CP2", "CP2#4"]
-        plane_entry = rec.entries[0]
+        plane_entry = rec.cap.entries[0]
         assert plane_entry.status == "Obstructed"
 
 
@@ -230,8 +230,8 @@ def test_quartic_statuses():
     assert [r.final_status for r in recs] == ["UniqueInPlane"] * 4
     tri = recs[0]
     assert sig(tri) == ((2, 3), (2, 3), (2, 3))
-    assert len(tri.embeddings) == 3
-    assert [e.pattern for e in tri.entries] == [
+    assert len(tri.cap.embeddings) == 3
+    assert [e.pattern for e in tri.cap.entries] == [
         "line-arrangement",
         "fano-plane",
         "fano-plane",
@@ -252,8 +252,10 @@ def test_degree_six_torus_cusps_classify():
 
 def test_no_recipe_reported_not_fatal():
     rec = pipeline(combo(6, (4, 7), (2, 3)))
-    assert rec.cap_error == "no stock cap recipe for this combination"
-    assert rec.embeddings == []
+    assert rec.cap is None
+    d = rec.to_dict()
+    assert d["cap_error"] == "no stock cap recipe for this combination"
+    assert d["embeddings"] == []
 
 
 def test_record_is_json_and_deterministic(quintic):

@@ -68,6 +68,43 @@ def test_each_cusp_literal_is_written_once():
     assert {pq: where for pq, where in seen.items() if len(where) > 1} == {}
 
 
+def _names_by_function(tree):
+    """(innermost enclosing function or None, name, line) for each name
+    or attribute a module reads."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                out.append((owner, child.id, child.lineno))
+            elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                out.append((owner, child.attr, child.lineno))
+            visit(child, owner)
+
+    visit(tree, None)
+    return out
+
+
+def test_one_function_runs_the_cap_stages():
+    # obstruct.run_cap chains search, blow-down and catalog for every
+    # command, so no command can run one stage without the others or
+    # in another order.  A stage may call itself (catalog_lookup
+    # recurses after peeling a line).
+    stages = {"enumerate_embeddings", "blow_down_trace", "catalog_lookup"}
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        for owner, name, line in _names_by_function(tree):
+            if name not in stages or owner == name:
+                continue
+            if (path.stem, owner) != ("obstruct", "run_cap"):
+                found.append(f"{path.name}:{line} {owner}: {name}")
+    assert found == []
+
+
 # functions kept for the tests, which use them as independent oracles
 # (continuant has one src caller, the oracle cf_dual), and a method that
 # argparse calls
