@@ -480,13 +480,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="atlas", description=__doc__.splitlines()[0])
+    # the description is a literal because python -OO strips __doc__.  A
+    # subcommand holds its function's name, not the function: main looks
+    # the name up in this module at each call, as it stands then
+    parser = _Parser(
+        prog="atlas",
+        description="Command line front end, one subcommand per stage of the toolchain.",
+    )
     sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
 
     def add(name: str, func, help_text: str):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="print the full report")
-        p.set_defaults(func=func, dot=False)
+        p.set_defaults(command=func.__name__, dot=False)
         return p
 
     p = add("invariants", cmd_invariants, "cusp numerics from p,q or a mult seq")
@@ -524,14 +530,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# one parser per process: parse_args keeps no state between calls
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "func", None) is None:
-            parser.print_usage(sys.stderr)
+        args = _PARSER.parse_args(argv)
+        if args.subcommand is None:
+            _PARSER.print_usage(sys.stderr)
             return 1
-        report, lines, dot, code = args.func(args)
+        report, lines, dot, code = globals()[args.command](args)
         if args.json:
             if dot is not None and args.dot:
                 report["results"]["dot"] = dot

@@ -353,6 +353,8 @@ def unicuspidal_families(degree: int) -> list[CuspType]:
     """Members of the known unicuspidal families at this degree: those
     of the family table, the Fibonacci cusps at F_j, and (F_j^2,
     F_{j+2}^2) at F_j F_{j+2}, odd j."""
+    if degree < 3:
+        raise ValueError(f"degree >= 3, got {degree}")
     found = set()
     # the one p of A_p and of B_p whose curve can have this degree
     named = (("A_p", degree - 1), ("B_p", degree // 2), ("E3", None), ("E6", None))

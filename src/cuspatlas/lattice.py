@@ -253,12 +253,24 @@ def _orbits(
     # indices with the same coefficient column over the assigned classes
     # are interchangeable; the search only ever takes a prefix of each
     # orbit.  Returns the orbits and their columns, in the same order.
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i in range(n_used):
-        col = tuple(c.get(i, 0) for c in cos)
-        groups.setdefault(col, []).append(i)
-    ordered = sorted(groups.items(), key=lambda item: item[1][0])
-    return [members for _, members in ordered], [col for col, _ in ordered]
+    # Each index's column is first read sparsely, as its (class, nonzero
+    # coefficient) pairs; the dict keeps the orbits in order of their
+    # first member
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(n_used)]
+    for u, c in enumerate(cos):
+        for i, x in c.items():
+            if x:
+                rows[i].append((u, x))
+    groups: dict[tuple[tuple[int, int], ...], list[int]] = {}
+    for i, row in enumerate(rows):
+        groups.setdefault(tuple(row), []).append(i)
+    cols = []
+    for row in groups:
+        col = [0] * len(cos)
+        for u, x in row:
+            col[u] = x
+        cols.append(tuple(col))
+    return list(groups.values()), cols
 
 
 def _grouped(profile: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -315,8 +327,8 @@ def _distributions(
     hi = [[0] * nu]
     l1 = [0]
     for col in reversed(cols):
-        lo.append([min(a, c) for a, c in zip(lo[-1], col)])
-        hi.append([max(a, c) for a, c in zip(hi[-1], col)])
+        lo.append(list(map(min, lo[-1], col)))
+        hi.append(list(map(max, hi[-1], col)))
         l1.append(max(l1[-1], sum(map(abs, col))))
     lo.reverse()
     hi.reverse()

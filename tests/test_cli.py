@@ -1,5 +1,6 @@
 """Exit codes, report shapes and text output of the atlas binary."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -299,6 +300,13 @@ def test_unicuspidal_usage():
     assert run("unicuspidal", "--family", "Z9")[0] == 1
 
 
+@pytest.mark.parametrize("degree", ["2", "0", "-5"])
+def test_unicuspidal_degree_below_three_is_a_usage_error(degree):
+    assert run("unicuspidal", "--degree", degree) == (
+        1, "", f"atlas: error: degree >= 3, got {degree}\n"
+    )
+
+
 def test_usage_errors_exit_1():
     assert run()[0] == 1
     assert run("cap", "Z", "1")[0] == 1
@@ -316,6 +324,67 @@ def test_internal_error_exits_3(monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "atlas: internal error: blow-down deadlock: every index is held up\n"
+
+
+def _python(*args):
+    """(exit status, stdout, stderr) of a fresh interpreter run on args."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_docstrings_stripped_by_python_OO_leave_the_commands_working():
+    code, out, err = _python("-OO", "-m", "cuspatlas.cli", "lens", "25", "4", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["command"] == "lens"
+
+
+# a usage error first, so that the parser is reused after it has failed
+REPEATED = [
+    ("blowdown", "A", "1"),
+    ("resolve", "2,3", "--dot"),
+    ("cap", "A", "3", "--json"),
+    ("lens", "25", "4", "--json"),
+]
+
+
+def test_one_parser_serves_repeated_calls(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    got = [run(*argv) for argv in REPEATED]
+    assert built == []
+    fresh = [_python("-m", "cuspatlas.cli", *argv) for argv in REPEATED]
+    assert [out[:2] for out in got] == [out[:2] for out in fresh]
+    assert [code for code, _, _ in got] == [1, 0, 0, 0]
+
+
+BUILDS_PER_IMPORT = """
+import argparse, contextlib, io
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+from cuspatlas import cli
+for argv in {argvs!r}:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        cli.main(list(argv))
+print(built.count("atlas"))
+"""
+
+
+def test_the_parser_is_built_once_per_import():
+    script = BUILDS_PER_IMPORT.format(argvs=REPEATED)
+    assert _python("-c", script) == (0, "1\n", "")
 
 
 def test_closed_stdout_keeps_the_exit_status_and_a_clean_stderr():

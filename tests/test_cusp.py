@@ -383,8 +383,16 @@ def unicuspidal_families_oracle(degree: int) -> list[CuspType]:
 
 
 def test_unicuspidal_families_match_the_oracle():
-    for d in range(0, 401):
+    for d in range(3, 401):
         assert unicuspidal_families(d) == unicuspidal_families_oracle(d), d
+
+
+@pytest.mark.parametrize("degree", [2, 1, 0, -5])
+def test_unicuspidal_families_reject_degrees_below_three(degree):
+    # as gated_combos and CuspCombo do: there is no plane cuspidal curve
+    # of degree below 3, and a negative degree is a typo, not an empty list
+    with pytest.raises(ValueError, match=f"degree >= 3, got {degree}"):
+        unicuspidal_families(degree)
 
 
 NAMED = (

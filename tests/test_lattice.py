@@ -297,6 +297,32 @@ def test_distributions_match_the_filtered_placements(instance):
     assert got == want
 
 
+def _dense_orbits(cos, n_used):
+    # the dense reading: one full column per index, grouped by value
+    groups = {}
+    for i in range(n_used):
+        col = tuple(c.get(i, 0) for c in cos)
+        groups.setdefault(col, []).append(i)
+    ordered = sorted(groups.items(), key=lambda item: item[1][0])
+    return [members for _, members in ordered], [col for col, _ in ordered]
+
+
+@st.composite
+def sparse_classes(draw):
+    # explicit zeros too, which a dense column cannot tell from absence
+    n_used = draw(st.integers(0, 8))
+    coeff = st.integers(-2, 2)
+    row = st.dictionaries(st.integers(0, n_used - 1), coeff) if n_used else st.just({})
+    return draw(st.lists(row, max_size=5)), n_used
+
+
+@given(instance=sparse_classes())
+@settings(max_examples=300, deadline=None)
+def test_orbits_match_the_dense_columns(instance):
+    cos, n_used = instance
+    assert lattice._orbits(cos, n_used) == _dense_orbits(cos, n_used)
+
+
 # ---------------------------------------------------------------- embeddings
 
 
