@@ -302,7 +302,10 @@ class CatalogEntry:
     pattern: str
     status: str
     reason: str = ""
-    provenance: str = ""
+
+    @property
+    def provenance(self) -> str:
+        return "catalog:" + self.pattern
 
     def to_dict(self) -> dict:
         return {
@@ -314,14 +317,14 @@ class CatalogEntry:
 
 
 def _obstructed(pattern: str, reason: str) -> CatalogEntry:
-    return CatalogEntry(pattern, OBSTRUCTED, reason, "catalog:" + pattern)
+    return CatalogEntry(pattern, OBSTRUCTED, reason)
 
 
 def _unique(pattern: str, reason: str = "") -> CatalogEntry:
-    return CatalogEntry(pattern, UNIQUE, reason, "catalog:" + pattern)
+    return CatalogEntry(pattern, UNIQUE, reason)
 
 
-_UNKNOWN_ENTRY = CatalogEntry("unmatched", UNKNOWN, "", "catalog:unmatched")
+_UNKNOWN_ENTRY = CatalogEntry("unmatched", UNKNOWN)
 
 
 def _match_fano(f: ConfigFingerprint) -> Optional[CatalogEntry]:

@@ -188,14 +188,18 @@ def _write_json(o, nl: str, out: list[str]) -> None:
         raise RuntimeError(f"report holds a {t.__name__}, not a JSON value")
 
 
-def _graph_dict(g: PlumbingGraph) -> dict:
+def _graph_dict(g: PlumbingGraph, s: int) -> dict:
+    # a curve resolution whose root started at s has det (-1)^(n-1)*s: in
+    # <h, e_1..e_{n-1}> its classes d*h - sum m_j e_j and e_j - (the e_k
+    # blown up on e_j later) have det d, so the form has (-1)^(n-1)*d^2,
+    # and moving the root by s - d^2 adds that times its cofactor (-1)^(n-1)
     return {
         "eulers": list(g.eulers),
         "labels": list(g.labels),
         "edges": [list(e) for e in g.edges],
         "corners": [list(c) for c in g.corners],
         "root": g.root,
-        "det": g.det(),
+        "det": (-1) ** (g.n - 1) * s,
     }
 
 
@@ -285,7 +289,7 @@ def cmd_resolve(args) -> tuple[dict, list[str], Optional[str], int]:
         eulers[g.root] += s - combo.degree**2
         g = replace(g, eulers=tuple(eulers))
     inputs = {"combo": str(combo), "modes": list(modes), "s": s}
-    graph = _graph_dict(g)
+    graph = _graph_dict(g, s)
     results = {"graph": graph, "central_weight": g.eulers[g.root]}
     lines = [
         f"{combo} resolved with modes {list(modes)}:",
@@ -298,7 +302,7 @@ def cmd_cap(args) -> tuple[dict, list[str], Optional[str], int]:
     recipe, combo = _parse_cap(args.spec)
     g = build_cap(recipe)
     inputs = {"spec": list(args.spec)}
-    graph = _graph_dict(g)
+    graph = _graph_dict(g, recipe.combo.degree**2)
     results = {"cap": _cap_dict(recipe), "graph": graph}
     lines = [
         f"cap {recipe.kind} for {recipe.combo}:",
@@ -350,12 +354,7 @@ def cmd_classify(args) -> tuple[dict, list[str], Optional[str], int]:
     tally: dict[str, int] = {}
     for r in dicts:
         tally[r["final_status"]] = tally.get(r["final_status"], 0) + 1
-    tags = [
-        f["catalog"]["provenance"]
-        for r in dicts
-        for f in r["fingerprints"]
-        if f["catalog"]["provenance"]
-    ]
+    tags = [f["catalog"]["provenance"] for r in dicts for f in r["fingerprints"]]
     inputs = {"degree": args.degree}
     results = {
         "degree": args.degree,

@@ -9,7 +9,8 @@ point arise and disappear the way they do on the surface.
 
 The frozen end product is a PlumbingGraph: self-intersection numbers,
 pairwise contact orders, and the triples of vertices that share a single
-point.
+point.  A curve resolution with n vertices whose root starts at
+self-intersection s has determinant (-1)^(n-1)*s (see cli._graph_dict).
 
 A cap is one curve resolution: a mode per cusp under which the strict
 transform of the curve lands on self-intersection +1, and build_cap
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cusp import CuspCombo, CuspType, family_combo, family_of
-from .linalg import int_det
 
 Edge = tuple[int, int, int]
 Corner = tuple[int, int, int]
@@ -109,9 +109,6 @@ class PlumbingGraph:
             m[u][v] = m[v][u] = order
         return m
 
-    def det(self) -> int:
-        return int_det(self.intersection_matrix())
-
     def to_dot(self) -> str:
         lines = ["graph plumbing {"]
         for i, (e, lab) in enumerate(zip(self.eulers, self.labels)):
@@ -127,7 +124,7 @@ class PlumbingGraph:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
+@dataclass(eq=False)
 class _Meet:
     # one intersection point: pair (a, b) meets with the given contact
     # order, `third` (if any) passes through transversally to both
@@ -146,7 +143,7 @@ class _Surface:
     def __init__(self) -> None:
         self.eulers: list[int] = []
         self.labels: list[str] = []
-        self.meets: list[_Meet] = []
+        self.meets: dict[_Meet, None] = {}  # ordered set, by identity
         self._next_e = 1
 
     def add_curve(self, euler: int, label: Optional[str] = None) -> int:
@@ -161,11 +158,11 @@ class _Surface:
         if u == v:
             raise ValueError("a meet needs two distinct curves")
         m = _Meet(min(u, v), max(u, v), order, third)
-        self.meets.append(m)
+        self.meets[m] = None
         return m
 
     def blow_up_point(self, meet: _Meet) -> list[_Meet]:
-        self.meets = [m for m in self.meets if m is not meet]
+        del self.meets[meet]
         for c in meet.curves():
             self.eulers[c] -= 1
         e = self.add_curve(-1)

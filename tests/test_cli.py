@@ -70,6 +70,14 @@ def test_resolve_central_weight_default_and_shift():
     assert rep["results"]["central_weight"] == 6
 
 
+def test_cap_and_resolve_report_the_lattice_determinant():
+    # (-1)^(n-1) * s: A200 has 402 vertices on its degree-201 curve
+    code, rep = run_json("cap", "A", "200")
+    assert code == 0 and rep["results"]["graph"]["det"] == -(201**2)
+    code, out, _ = run("resolve", "2,3+2,5", "--s", "16")
+    assert code == 0 and "8 curves, central weight 0, det -16" in out
+
+
 def test_resolve_mode_count_checked():
     assert run("resolve", "2,3+2,5", "--modes", "nc")[0] == 1
 

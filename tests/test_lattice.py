@@ -20,6 +20,7 @@ from cuspatlas.lattice import (
     complement_form,
     enumerate_embeddings,
 )
+from cuspatlas.linalg import int_det
 from cuspatlas.obstruct import riemann_hurwitz_verdict
 from cuspatlas.plumbing import PlumbingGraph, build_cap, cap_for_combo, family_cap
 
@@ -491,7 +492,7 @@ def test_span_and_complement_determinants_pair_to_a_square():
     for kind, p in STOCK:
         g = cap(kind, p)
         for e in enumerate_embeddings(g):
-            prod = abs(g.det() * complement_form(e).det)
+            prod = abs(int_det(g.intersection_matrix()) * complement_form(e).det)
             assert prod == _isqrt_exact(prod) ** 2
 
 

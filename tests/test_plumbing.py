@@ -1,11 +1,15 @@
+from argparse import Namespace
+from itertools import product
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuspatlas import cli
 from cuspatlas.cf import cf_expand, continuant
 from cuspatlas.cusp import CuspCombo, CuspType, enumerate_combos
+from cuspatlas.linalg import int_det
 from cuspatlas.plumbing import (
     CapRecipe,
     PlumbingGraph,
@@ -189,7 +193,7 @@ def test_chain_determinant_is_continuant(pq):
     p, q = pq
     seq = cf_expand(q, p)
     g = chain_graph([-a for a in seq])
-    assert g.det() == (-1) ** len(seq) * continuant(seq)
+    assert int_det(g.intersection_matrix()) == (-1) ** len(seq) * continuant(seq)
     assert continuant(seq) == q
 
 
@@ -269,6 +273,55 @@ def test_every_cap_is_its_own_curve_resolution():
         g = build_cap(r)
         assert g == curve_resolution(r.combo, r.modes)
         assert g.eulers[g.root] == 1
+
+
+def spec_of(combo):
+    return "+".join(f"{c.p},{c.q}" for c in combo.cusps)
+
+
+def assert_reported_det_is_int_det(report):
+    # the det that cap and resolve report, against elimination on the
+    # graph they report
+    graph = report["results"]["graph"]
+    g = PlumbingGraph(
+        tuple(graph["eulers"]),
+        tuple(graph["labels"]),
+        tuple(map(tuple, graph["edges"])),
+        tuple(map(tuple, graph["corners"])),
+        graph["root"],
+    )
+    assert graph["det"] == int_det(g.intersection_matrix())
+
+
+def test_reported_determinant_is_the_lattice_identity():
+    # det = (-1)^(n-1) * s for a curve resolution whose root starts at s
+    specs = (
+        [["A", str(p)] for p in range(2, 31)]
+        + [["B", str(p)] for p in range(2, 11)]
+        + [["E3"], ["E6"]]
+        + [
+            [spec_of(c)]
+            for d in range(3, 8)
+            for c in enumerate_combos(d)
+            if cap_for_combo(c) is not None
+        ]
+    )
+    assert len(specs) == 67
+    for spec in specs:
+        assert_reported_det_is_int_det(cli.cmd_cap(Namespace(spec=spec))[0])
+    modes = ("min", "nc", "min+1", "min+2", "min+3")
+    combos = [c for d in range(3, 7) for c in enumerate_combos(d) if len(c.cusps) <= 3]
+    runs = 0
+    for combo in combos:
+        d, k = combo.degree, len(combo.cusps)
+        for mode in product(modes, repeat=k):
+            args = Namespace(combo=spec_of(combo), modes=",".join(mode), s=None)
+            assert_reported_det_is_int_det(cli.cmd_resolve(args)[0])
+            runs += 1
+        for mode, s in product(("min", "nc"), (-7, 0, 1, d * d + 3)):
+            args = Namespace(combo=spec_of(combo), modes=",".join([mode] * k), s=s)
+            assert_reported_det_is_int_det(cli.cmd_resolve(args)[0])
+    assert runs == 4470
 
 
 def test_single_cusp_caps_spend_every_spare_blowup_at_the_end():
