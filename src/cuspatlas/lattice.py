@@ -9,28 +9,34 @@ only finitely many coefficient multisets (profiles); the search assigns
 classes vertex by vertex in breadth-first order from the root (which is
 always sent to h) and breaks the permutation symmetry of exceptional
 indices by orbit prefixes.  It generates only classes with the required
-pairings against the classes already placed.  A class is built one
-placement at a time (some units of one coefficient into a prefix of one
-orbit), and a branch is cut when a pairing still owed lies outside the
-range the coefficients left to place can add (each adds between the
-extremes of the columns it may take), or when the L1 norm of what is
-owed exceeds the most those coefficients can move it (the triangle
-inequality).  Partial assignments that no positive area form supports
-are dropped: for the degree-zero classes that is exactly a cycle in
-their dominance graph, so no linear program runs.  Results are
-relabelled canonically and sorted, so repeated runs agree bit for bit.
+pairings against the classes already placed, reading each orbit as its
+sparse row of nonzero coefficients.  A class is built one placement at
+a time (some units of one coefficient into a prefix of one orbit), and
+a branch is cut when a pairing still owed lies outside the range the
+coefficients left to place can add (each adds between the extremes of
+the rows it may take), or when the L1 norm of what is owed exceeds the
+most those coefficients can move it (the triangle inequality); the
+last unit is looked up, as it must pay what is owed exactly.  Partial
+assignments that no positive area form supports are dropped: for the
+degree-zero classes that is exactly a cycle in their dominance graph,
+kept edge by edge as classes are placed, so no linear program runs.
+Results are relabelled canonically and sorted, so repeated runs agree
+bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import isqrt
-from typing import Iterable, Iterator, Literal, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Literal, Mapping, Sequence, Union
 
 from .linalg import int_det, int_kernel_basis
 from .plumbing import PlumbingGraph
 
 ECoeffs = tuple[tuple[int, int], ...]
+# an orbit's (class, nonzero coefficient) pairs, sorted by class
+Row = tuple[tuple[int, int], ...]
 Parity = Literal["even", "odd"]
 
 
@@ -249,28 +255,20 @@ def _bfs_order(g: PlumbingGraph) -> list[int]:
 
 def _orbits(
     cos: Sequence[Mapping[int, int]], n_used: int
-) -> tuple[list[list[int]], list[tuple[int, ...]]]:
-    # indices with the same coefficient column over the assigned classes
-    # are interchangeable; the search only ever takes a prefix of each
-    # orbit.  Returns the orbits and their columns, in the same order.
-    # Each index's column is first read sparsely, as its (class, nonzero
-    # coefficient) pairs; the dict keeps the orbits in order of their
-    # first member
+) -> tuple[list[list[int]], list[Row]]:
+    # indices with the same row, the (class, nonzero coefficient) pairs
+    # over the assigned classes, are interchangeable; the search only
+    # ever takes a prefix of each orbit.  Returns the orbits and their
+    # rows, in the same order, the orbits in order of first member
     rows: list[list[tuple[int, int]]] = [[] for _ in range(n_used)]
     for u, c in enumerate(cos):
         for i, x in c.items():
             if x:
                 rows[i].append((u, x))
-    groups: dict[tuple[tuple[int, int], ...], list[int]] = {}
+    groups: dict[Row, list[int]] = {}
     for i, row in enumerate(rows):
         groups.setdefault(tuple(row), []).append(i)
-    cols = []
-    for row in groups:
-        col = [0] * len(cos)
-        for u, x in row:
-            col[u] = x
-        cols.append(tuple(col))
-    return list(groups.values()), cols
+    return list(groups.values()), list(groups)
 
 
 def _grouped(profile: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -286,7 +284,7 @@ def _grouped(profile: tuple[int, ...]) -> list[tuple[int, int]]:
 def _distributions(
     groups: Sequence[tuple[int, int]],
     orbits: Sequence[Sequence[int]],
-    cols: Sequence[Sequence[int]],
+    rows: Sequence[Row],
     targets: Sequence[int],
     fresh_start: int,
 ) -> Iterator[tuple[list[tuple[int, int]], int]]:
@@ -296,59 +294,75 @@ def _distributions(
     Values are placed into prefixes of the interchangeability orbits or
     onto consecutive fresh indices; yields (index, value) lists together
     with the new fresh-index watermark.  Every member of orbit o carries
-    coefficient cols[o][u] in earlier class u and fresh indices carry
-    none, so the e-part of the pairing with class u is linear in the
-    units of each value placed in each orbit and must reach targets[u].
+    the coefficients of rows[o] (class, coefficient; 0 in the classes
+    it omits) and fresh indices carry none, so the e-part of the
+    pairing with class u is linear in the units of each value placed in
+    each orbit and must reach targets[u].  `need` holds what is still
+    owed, only its nonzero entries.
 
     The walk recurses once per placement, t > 0 units of one value into
     one orbit, with orbits taken in increasing order; the orbits that
     take nothing are a plain loop, and what is left of a value after the
     last orbit goes onto fresh indices.  Two cuts compare the need left
-    (targets minus what is placed) with what the units still to place
-    can add: the rest of this value in orbit o or later, and the later
-    values anywhere.
+    with what the units still to place can add: the rest of this value
+    in orbit o or later, and the later values anywhere.
     - Range, per class: sound because each unit adds a coefficient that
-      lies between the extremes of the columns it may take.  A need of 0
-      always lies in the range (fresh indices add 0), so only nonzero
-      needs are checked; the range only narrows as o grows, so the loop
-      stops at the first orbit that fails.
+      lies between the extremes of the rows it may take.  A need of 0
+      always lies in the range (fresh indices add 0), so only owed
+      classes are checked.  An orbit missing from a class's own (orbit,
+      coefficient) list carries 0 there, as the fresh indices do, so
+      extremes read from that list are those of the full column; they
+      depend on the rows and groups only, so they are built once, when
+      the class first owes something.  The range only narrows as o
+      grows, so the loop stops at the first orbit that fails.
     - L1: sound by the triangle inequality, since a unit of val placed
-      in orbit o' moves the need by |val| * ||cols[o']||_1, so the L1
+      in orbit o' moves the need by |val| * ||rows[o']||_1, so the L1
       norm of the need is at most the sum of the largest such moves.
       It is tested before a placement into an orbit is entered, so one
       that cannot close costs no generator frame.
-    A leaf must hit every target.
+    The last unit of the last value is placed without a scan.  Nothing
+    follows it, so it must pay the need exactly, and a unit in orbit o
+    pays val * rows[o]: it goes to each orbit from oi on whose row is
+    need / val and that has a free member (several when rows repeat),
+    nowhere if val does not divide the need, and onto a fresh index,
+    which pays nothing, only when nothing is owed.  Those are the
+    leaves the scan would reach.  Every other leaf must hit every
+    target.
     """
-    nu, no = len(targets), len(orbits)
-    # lo[o][u], hi[o][u]: extreme coefficient of class u over the orbits
-    # from o on, and 0 for the fresh indices; l1[o]: the largest column
-    # L1 norm over them
-    lo = [[0] * nu]
-    hi = [[0] * nu]
-    l1 = [0]
-    for col in reversed(cols):
-        lo.append(list(map(min, lo[-1], col)))
-        hi.append(list(map(max, hi[-1], col)))
-        l1.append(max(l1[-1], sum(map(abs, col))))
-    lo.reverse()
-    hi.reverse()
-    l1.reverse()
-    # later_lo[gi][u], later_hi[gi][u], later_l1[gi]: what the groups
-    # after gi can add
-    later_lo = [[0] * nu]
-    later_hi = [[0] * nu]
-    later_l1 = [0]
-    for val, cnt in reversed(groups[1:]):
-        ext = (lo[0], hi[0]) if val > 0 else (hi[0], lo[0])
-        later_lo.append([a + cnt * val * b for a, b in zip(later_lo[-1], ext[0])])
-        later_hi.append([a + cnt * val * b for a, b in zip(later_hi[-1], ext[1])])
-        later_l1.append(later_l1[-1] + cnt * abs(val) * l1[0])
-    later_lo.reverse()
-    later_hi.reverse()
-    later_l1.reverse()
+    no, last = len(orbits), len(groups) - 1
+    # l1[o]: the largest row L1 norm over the orbits from o on, 0 for
+    # the fresh indices; later_l1[gi]: what the groups after gi can move
+    norms = (sum(abs(c) for _, c in row) for row in reversed(rows))
+    l1 = [*accumulate(norms, max, initial=0)][::-1]
+    moves = (cnt * abs(val) * l1[0] for val, cnt in reversed(groups[1:]))
+    later_l1 = [*accumulate(moves, initial=0)][::-1]
+    by_class: dict[int, list[tuple[int, int]]] = {}
+    orbits_of: dict[Row, list[int]] = {}
+    for o, row in enumerate(rows):
+        orbits_of.setdefault(row, []).append(o)
+        for u, c in row:
+            by_class.setdefault(u, []).append((o, c))
+    tables: dict[int, list[tuple[list[int], list[int], int, int]]] = {}
 
-    nonzero = [[(u, c) for u, c in enumerate(col) if c] for col in cols]
-    need = list(targets)
+    def table(u: int) -> list[tuple[list[int], list[int], int, int]]:
+        # per group gi: class u's least and greatest coefficient over the
+        # orbits from o on and the fresh indices (swapped when val < 0),
+        # then the least and the most the groups after gi can add
+        col = [0] * no
+        for o, c in by_class.get(u, ()):
+            col[o] = c
+        lo = [*accumulate(reversed(col), min, initial=0)][::-1]
+        hi = [*accumulate(reversed(col), max, initial=0)][::-1]
+        out, later_lo, later_hi = [], 0, 0
+        for val, cnt in reversed(groups):
+            small, large = (lo, hi) if val > 0 else (hi, lo)
+            out.append((small, large, later_lo, later_hi))
+            later_lo += cnt * val * small[0]
+            later_hi += cnt * val * large[0]
+        tables[u] = out[::-1]
+        return tables[u]
+
+    need = {u: r for u, r in enumerate(targets) if r}
     taken = [0] * no
     acc: list[tuple[int, int]] = []
 
@@ -359,33 +373,44 @@ def _distributions(
         # fresh indices; norm is the L1 norm of need
         if not left:
             gi, oi = gi + 1, 0
-            if gi == len(groups):
-                if not any(need):
+            if gi > last:
+                if not need:
                     yield list(acc), fresh_at
                 return
             left = groups[gi][1]
         val = groups[gi][0]
-        flo, fhi = later_lo[gi], later_hi[gi]
-        live = [(u, r) for u, r in enumerate(need) if r]
+        if gi == last and left == 1:
+            # the last unit: the exact close of the docstring
+            if any(r % val for r in need.values()):
+                return
+            exact = tuple(sorted((u, r // val) for u, r in need.items()))
+            for o in orbits_of.get(exact, ()):
+                if o >= oi and taken[o] < len(orbits[o]):
+                    yield [*acc, (orbits[o][taken[o]], val)], fresh_at
+            if not need:
+                yield [*acc, (fresh_at, val)], fresh_at + 1
+            return
+        live = [(r, (tables.get(u) or table(u))[gi]) for u, r in need.items()]
         n, size = left * val, abs(val)
         for o in range(oi, no + 1):
-            small, large = (lo[o], hi[o]) if val > 0 else (hi[o], lo[o])
-            for u, r in live:
-                if r < n * small[u] + flo[u] or r > n * large[u] + fhi[u]:
+            for r, (small, large, flo, fhi) in live:
+                if r < n * small[o] + flo or r > n * large[o] + fhi:
                     return
             if o == no:
                 acc.extend((fresh_at + j, val) for j in range(left))
                 yield from place(gi, no, 0, fresh_at + left, norm)
                 del acc[-left:]
                 return
-            members = orbits[o]
+            members, row = orbits[o], rows[o]
             base = taken[o]
             for t in range(min(left, len(members) - base), 0, -1):
-                moved = norm
-                for u, c in nonzero[o]:
-                    r = need[u]
-                    need[u] = r - val * t * c
-                    moved += abs(need[u]) - abs(r)
+                step, moved = val * t, norm
+                for u, c in row:
+                    r = need.pop(u, 0)
+                    s = r - step * c
+                    if s:
+                        need[u] = s
+                    moved += abs(s) - abs(r)
                 # the L1 cut, before the placement is entered
                 if moved - later_l1[gi] <= (left - t) * size * l1[o + 1]:
                     acc.extend((i, val) for i in members[base:base + t])
@@ -393,11 +418,13 @@ def _distributions(
                     yield from place(gi, o + 1, left - t, fresh_at, moved)
                     taken[o] = base
                     del acc[-t:]
-                for u, c in nonzero[o]:
-                    need[u] += val * t * c
+                for u, c in row:
+                    s = need.pop(u, 0) + step * c
+                    if s:
+                        need[u] = s
 
     # group -1 has no units left, so the walk opens on group 0
-    yield from place(-1, 0, 0, fresh_start, sum(map(abs, need)))
+    yield from place(-1, 0, 0, fresh_start, sum(map(abs, need.values())))
 
 
 def _canonical_classes(
@@ -425,46 +452,36 @@ def _canonical_classes(
     )
 
 
-def _dominance_cycle(zero_rows: Sequence[Mapping[int, int]]) -> Optional[list[int]]:
-    """A cycle that starves some degree-zero class of area, or None.
+def _dominance_edges(row: Mapping[int, int]) -> tuple[int, list[int]]:
+    # the class e_a - sum(e_b for b in S) as its head a and tails S
+    heads = [i for i, c in row.items() if c == 1]
+    if len(heads) != 1 or any(c not in (1, -1) for c in row.values()):
+        raise ValueError(f"not a degree-zero sphere class: {dict(row)}")
+    return heads[0], [i for i, c in row.items() if c == -1]
+
+
+def _closes_cycle(succ: Mapping[int, Sequence[int]], row: Mapping[int, int]) -> bool:
+    """Does the degree-zero class `row` starve some class of area, given
+    the dominance edges `succ` (head -> tails) of those placed before it?
 
     Degree-zero classes are the only ones an area form can starve:
     anything with a0 > 0 is fed by a large enough w(h).  Each one is
     e_a - sum(e_b for b in S), of positive area iff w(e_a) > sum(w(e_b)),
     read as edges a -> b.  A cycle through a would force w(e_a) > w(e_a);
     without one, weights given in reverse topological order, each 1 more
-    than the sum over its successors, satisfy every row.  The cycle is
-    returned in edge order, each edge a -> b taken from one row with +1
-    at a and -1 at b.
+    than the sum over its successors, satisfy every row.  By induction
+    succ has no cycle, since the search keeps only rows that close none,
+    so a cycle must use the new edges, and through their common head a:
+    the row closes one iff a is reachable from some b in S.
     """
-    succ: dict[int, list[int]] = {}
-    for row in zero_rows:
-        heads = [i for i, c in row.items() if c == 1]
-        if len(heads) != 1 or any(c not in (1, -1) for c in row.values()):
-            raise ValueError(f"not a degree-zero sphere class: {dict(row)}")
-        succ.setdefault(heads[0], []).extend(i for i, c in row.items() if c == -1)
-    done: set[int] = set()
-    for start in succ:
-        if start in done:
-            continue
-        # depth-first; a successor still on the path closes a cycle
-        path = [start]
-        where = {start: 0}
-        stack = [iter(succ[start])]
-        while stack:
-            nxt = next(stack[-1], None)
-            if nxt is None:
-                stack.pop()
-                last = path.pop()
-                del where[last]
-                done.add(last)
-            elif nxt in where:
-                return path[where[nxt]:]
-            elif nxt not in done:
-                where[nxt] = len(path)
-                path.append(nxt)
-                stack.append(iter(succ.get(nxt, ())))
-    return None
+    head, tails = _dominance_edges(row)
+    seen, stack = set(tails), list(tails)
+    while stack:
+        for b in succ.get(stack.pop(), ()):
+            if b not in seen:
+                seen.add(b)
+                stack.append(b)
+    return head in seen
 
 
 class _Search:
@@ -489,7 +506,7 @@ class _Search:
         self,
         pos: int,
         assigned: Sequence[tuple[int, dict[int, int]]],
-        zero_rows: Sequence[dict[int, int]],
+        succ: Mapping[int, Sequence[int]],
         n_used: int,
     ) -> Iterator[tuple[int, dict[int, int], int]]:
         v = self.order[pos]
@@ -497,10 +514,10 @@ class _Search:
         wants = [self.req[self.order[upos]][v] for upos in range(len(assigned))]
         # e-part of the pairing with each earlier class: a0*ua0 - wanted
         targets = [ua0 * a0 - w for (ua0, _), w in zip(assigned, wants)]
-        orbits, cols = _orbits([co for _, co in assigned], n_used)
+        orbits, rows = _orbits([co for _, co in assigned], n_used)
         for profile in self.profiles[pos]:
             groups = _grouped(profile)
-            for items, new_used in _distributions(groups, orbits, cols, targets, n_used):
+            for items, new_used in _distributions(groups, orbits, rows, targets, n_used):
                 co = dict(items)
                 for (ua0, uco), want in zip(assigned, wants):
                     small, big = (co, uco) if len(co) <= len(uco) else (uco, co)
@@ -509,7 +526,7 @@ class _Search:
                         raise RuntimeError(
                             f"distribution for vertex {v} pairs to {got}, not {want}"
                         )
-                if a0 == 0 and _dominance_cycle([*zero_rows, co]) is not None:
+                if a0 == 0 and _closes_cycle(succ, co):
                     continue
                 yield a0, co, new_used
 
@@ -517,7 +534,7 @@ class _Search:
         self,
         pos: int,
         assigned: list[tuple[int, dict[int, int]]],
-        zero_rows: list[dict[int, int]],
+        succ: dict[int, list[int]],
         n_used: int,
         sink: dict,
     ) -> None:
@@ -525,14 +542,17 @@ class _Search:
             self.emit(assigned, n_used, sink)
             return
         # materialised so that no open generator holds its bound tables
-        # while the search descends
-        for a0, co, new_used in list(self.candidates(pos, assigned, zero_rows, n_used)):
+        # while the search descends.  succ holds the dominance edges of
+        # the degree-zero classes placed so far, a list per head
+        for a0, co, new_used in list(self.candidates(pos, assigned, succ, n_used)):
             assigned.append((a0, co))
             if a0 == 0:
-                zero_rows.append(co)
-            self.dfs(pos + 1, assigned, zero_rows, new_used, sink)
+                head, tails = _dominance_edges(co)
+                edges = succ.setdefault(head, [])
+                edges.extend(tails)
+            self.dfs(pos + 1, assigned, succ, new_used, sink)
             if a0 == 0:
-                zero_rows.pop()
+                del edges[len(edges) - len(tails):]
             assigned.pop()
 
     def emit(
@@ -564,7 +584,7 @@ def enumerate_embeddings(g: PlumbingGraph) -> tuple[Embedding, ...]:
     if any(not p for p in search.profiles):
         return ()
     found: dict = {}
-    search.dfs(1, [(1, {})], [], 0, found)
+    search.dfs(1, [(1, {})], {}, 0, found)
     embeddings = tuple(found[key] for key in sorted(found))
     for emb in embeddings:
         _assert_positive_scan(emb)

@@ -132,28 +132,66 @@ degree_zero_rows = st.lists(
 )
 
 
+def _edges_of(kept):
+    # the dominance edges of degree-zero rows, a list per head
+    succ = {}
+    for d in kept:
+        head = next(i for i, c in d.items() if c == 1)
+        succ.setdefault(head, []).extend(i for i, c in d.items() if c == -1)
+    return succ
+
+
 @given(rows=degree_zero_rows)
 @settings(max_examples=300)
 def test_dominance_cycle_agrees_with_the_area_lp(rows):
-    dicts = [{a: 1, **{b: -1 for b in rest}} for a, rest in rows]
-    cycle = lattice._dominance_cycle(dicts)
-    assert (cycle is None) == area_feasible([HClass.make(0, d) for d in dicts])
-    if cycle is not None:
-        # an integer certificate: each edge a -> b is one row's +e_a, -e_b
-        assert len(cycle) == len(set(cycle)) >= 2
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            assert any(d.get(a) == 1 and d.get(b) == -1 for d in dicts)
+    # rows arrive one at a time, as the search places them, and only the
+    # rows the check accepts stay; heads may repeat here
+    kept = []
+    for a, rest in rows:
+        d = {a: 1, **{b: -1 for b in rest}}
+        closes = lattice._closes_cycle(_edges_of(kept), d)
+        assert closes == (not area_feasible([HClass.make(0, r) for r in [*kept, d]]))
+        if not closes:
+            kept.append(d)
 
 
 def test_dominance_cycle_shapes():
-    assert lattice._dominance_cycle([]) is None
-    assert lattice._dominance_cycle([{0: 1}, {1: 1, 0: -1}]) is None
-    cycle = lattice._dominance_cycle([{0: 1, 1: -1, 2: -1}, {1: 1, 0: -1, 2: -1}])
-    assert sorted(cycle) == [0, 1]
+    assert not lattice._closes_cycle({}, {0: 1})
+    assert not lattice._closes_cycle({0: []}, {1: 1, 0: -1})
+    assert lattice._closes_cycle({0: [1, 2]}, {1: 1, 0: -1, 2: -1})
+    # 2 -> 0 -> 1 and a new row 1 -> 2 closes the cycle through its head
+    assert lattice._closes_cycle({2: [0], 0: [1]}, {1: 1, 2: -1})
+    assert not lattice._closes_cycle({2: [0], 0: [1]}, {3: 1, 2: -1})
     with pytest.raises(ValueError):
-        lattice._dominance_cycle([{0: 1, 1: 1}])
+        lattice._closes_cycle({}, {0: 1, 1: 1})
     with pytest.raises(ValueError):
-        lattice._dominance_cycle([{0: 2, 1: -1}])
+        lattice._closes_cycle({}, {0: 2, 1: -1})
+
+
+def test_the_search_cuts_what_the_cycle_check_reports(monkeypatch):
+    # every embedding of A3 places degree-zero classes, so a check that
+    # always reports a cycle must leave nothing
+    assert enumerate_embeddings(cap("A_p", p=3))
+    monkeypatch.setattr(lattice, "_closes_cycle", lambda succ, row: True)
+    assert enumerate_embeddings(cap("A_p", p=3)) == ()
+
+
+def test_the_search_hands_the_check_the_edges_placed_so_far(monkeypatch):
+    real = lattice._Search.candidates
+    calls = []
+
+    def wrapper(self, pos, assigned, succ, n_used):
+        zero = [co for a0, co in assigned if a0 == 0]
+        have = {h: sorted(ts) for h, ts in succ.items() if ts}
+        want = {h: sorted(ts) for h, ts in _edges_of(zero).items() if ts}
+        assert have == want
+        calls.append(len(zero))
+        return real(self, pos, assigned, succ, n_used)
+
+    monkeypatch.setattr(lattice._Search, "candidates", wrapper)
+    for kind, p in (("A_p", 5), ("B_p", 3), ("E6", None)):
+        assert enumerate_embeddings(cap(kind, p))
+    assert max(calls) >= 3
 
 
 # ---------------------------------------------------------------- search
@@ -186,6 +224,21 @@ def _unpruned(groups, orbits, taken, fresh_at):
             yield items + tail, end
 
 
+def _rows(cols):
+    # dense columns as the sparse rows the search reads
+    return [tuple((u, c) for u, c in enumerate(col) if c) for col in cols]
+
+
+def _cols(rows, nu):
+    cols = []
+    for row in rows:
+        col = [0] * nu
+        for u, c in row:
+            col[u] = c
+        cols.append(tuple(col))
+    return cols
+
+
 def _pairs_as_required(items, orbits, cols, targets):
     col_of = {i: col for members, col in zip(orbits, cols) for i in members}
     return all(
@@ -197,9 +250,10 @@ def _pairs_as_required(items, orbits, cols, targets):
 def _checked_distributions(seen):
     real = lattice._distributions
 
-    def wrapper(groups, orbits, cols, targets, fresh_start):
+    def wrapper(groups, orbits, rows, targets, fresh_start):
+        cols = _cols(rows, len(targets))
         got = []
-        for items, end in real(groups, orbits, cols, targets, fresh_start):
+        for items, end in real(groups, orbits, rows, targets, fresh_start):
             indices = [i for i, _ in items]
             assert len(set(indices)) == len(indices)
             assert sorted(v for _, v in items) == sorted(
@@ -247,7 +301,7 @@ def test_distributions_yield_exactly_the_required_pairings(monkeypatch):
 
 
 def test_pairing_mismatch_from_the_generator_is_an_internal_error(monkeypatch):
-    def broken(groups, orbits, cols, targets, fresh_start):
+    def broken(groups, orbits, rows, targets, fresh_start):
         # every value on fresh indices, whatever the pairings require
         values = [v for v, c in groups for _ in range(c)]
         yield [(fresh_start + j, v) for j, v in enumerate(values)], fresh_start + len(values)
@@ -288,7 +342,9 @@ def test_distributions_match_the_filtered_placements(instance):
     groups, orbits, cols, targets, fresh_start, placements = instance
     got = sorted(
         (tuple(sorted(items)), end)
-        for items, end in lattice._distributions(groups, orbits, cols, targets, fresh_start)
+        for items, end in lattice._distributions(
+            groups, orbits, _rows(cols), targets, fresh_start
+        )
     )
     want = sorted(
         (tuple(sorted(items)), end)
@@ -321,7 +377,8 @@ def sparse_classes(draw):
 @settings(max_examples=300, deadline=None)
 def test_orbits_match_the_dense_columns(instance):
     cos, n_used = instance
-    assert lattice._orbits(cos, n_used) == _dense_orbits(cos, n_used)
+    orbits, rows = lattice._orbits(cos, n_used)
+    assert (orbits, _cols(rows, len(cos))) == _dense_orbits(cos, n_used)
 
 
 # ---------------------------------------------------------------- embeddings
