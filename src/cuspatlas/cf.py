@@ -1,8 +1,8 @@
-"""Negative continued fractions through integer continuants.
+"""Negative continued fractions and bounded zero strings, exact and integer.
 
-Everything here is exact and integer.  A continued fraction string
-[m_1, ..., m_l] denotes m_1 - 1/(m_2 - 1/(... - 1/m_l)), read on the
-projective line, so a step may pass through the point at infinity.
+A continued fraction string [m_1, ..., m_l] denotes m_1 - 1/(m_2 - 1/(...
+- 1/m_l)), read on the projective line, so a step may pass through the
+point at infinity.
 
 The string is the product of the matrices ((m_i, -1), (1, 0)).  The
 first column of that product is the pair of continuants
@@ -10,13 +10,14 @@ first column of that product is the pair of continuants
 has determinant 1, so the pair is primitive: the string is zero iff
 K(m) = 0, and infinite iff K(m[1:]) = 0.
 
-The zero-string search carries each forced tail value as a primitive
-integer pair (a, b) meaning a/b, with b = 0 for infinity.
+Values are carried as primitive integer pairs (a, b) meaning a/b, with
+b = 0 for infinity.  The zero-string listing tabulates the suffixes of
+the bounded strings by value and walks only the prefixes.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 
 CFString = tuple[int, ...]
 
@@ -39,50 +40,79 @@ def cf_expand(p: int, q: int) -> CFString:
     return tuple(out)
 
 
-def cf_dual(seq: CFString) -> CFString:
-    """Riemenschneider dual: the expansion of p/(p-q) when seq expands p/q.
+def _normalised(a: int, b: int) -> tuple[int, int]:
+    """The primitive pair (a, b) with its sign fixed: b > 0, or (1, 0)."""
+    return (-a, -b) if b < 0 or (b == 0 and a < 0) else (a, b)
 
-    Only defined for nonempty strings with all entries >= 2, whose value
-    p/q = K(seq)/K(seq[1:]) is finite, in lowest terms and exceeds 1, so
-    p > p - q >= 1 as cf_expand needs.
+
+def _split(n: CFString) -> int:
+    """The first position h whose prefix space prod(n[:h]) is at least
+    the suffix space prod(n[h:]), at most len(n) - 1 so that the suffix
+    is never empty; nonempty n."""
+    h, space, total = 0, 1, prod(n)
+    while h < len(n) - 1 and space * space < total:
+        space *= n[h]
+        h += 1
+    return h
+
+
+def _suffixes_by_value(n: CFString) -> dict[tuple[int, int], list[CFString]]:
+    """Every string m with 1 <= m_i <= n_i, nonempty n, grouped by its
+    value as a normalised pair, each group in lexicographic order.
+
+    One backward pass: [m] is (m, 1), and [m, s] = m - 1/[s] takes the
+    value (c, d) of s to (m c - d, c).  For a fixed m that step is a
+    Moebius map, so it sends distinct values to distinct values; adding
+    the entries m in increasing order therefore appends to each group
+    at most one sorted group per m, all starting with m, and keeps every
+    group sorted.
     """
-    if not seq or any(m < 2 for m in seq):
-        raise ValueError("dual is defined for nonempty strings of entries >= 2")
-    p, q = continuant(seq), continuant(seq[1:])
-    return cf_expand(p, p - q)
+    table = {(m, 1): [(m,)] for m in range(1, n[-1] + 1)}
+    for bound in reversed(n[:-1]):
+        step: dict[tuple[int, int], list[CFString]] = {}
+        for m in range(1, bound + 1):
+            head = (m,)
+            for (c, d), tails in table.items():
+                group = step.setdefault(_normalised(m * c - d, c), [])
+                group.extend([head + t for t in tails])
+        table = step
+    return table
 
 
 def enumerate_zero_strings(n: CFString) -> list[CFString]:
-    """All strings m with 1 <= m_i <= n_i and [m_1,...,m_l] = 0.
+    """All strings m with 1 <= m_i <= n_i and [m_1,...,m_l] = 0, in
+    lexicographic order.
 
-    Exhaustive depth-first search in lexicographic order.  The state
-    after a prefix is the forced tail value t_i = [m_i, ..., m_l] as a
-    primitive pair (a, b): t_1 = 0 is (0, 1), and t_{i+1} = 1/(m_i - t_i)
-    is (b, m_i b - a).  The string closes iff the last tail is finite
-    (b != 0) and an integer a/b with 1 <= a/b <= n_l, which is then the
-    last entry.
+    Meet in the middle after the first h entries, where the prefix
+    space prod(n[:h]) first reaches the suffix space prod(n[h:])
+    (_split).  The suffixes m_{h+1}..m_l are tabulated by value
+    (_suffixes_by_value).  A depth-first walk over the prefixes carries
+    the forced tail value t_i = [m_i, ..., m_l] as a primitive pair
+    (a, b): t_1 = 0 is (0, 1), and t_{i+1} = 1/(m_i - t_i) is
+    (b, m_i b - a).  A prefix m_1..m_h closes with exactly the suffixes
+    whose value is t_{h+1}.  The prefixes come in lexicographic order
+    and so does each table group, so the list is sorted without sorting
+    it.
 
-    Warning: the number of results can grow exponentially in len(n)
-    for bounds like [2,2,...,2]; callers doing scans should prefer
-    the targeted searches in the lens module.
+    The cost is about sqrt(prod(n)) table entries and prefix frames,
+    plus the output.  Warning: the number of results itself can grow
+    exponentially in len(n), for bounds like [2,2,...,2]; callers doing
+    scans should prefer the targeted searches in the lens module.
     """
-    ell = len(n)
+    if not n:
+        return []
+    h = _split(n)
+    table = _suffixes_by_value(n[h:])
     out: list[CFString] = []
-    if ell == 0:
-        return out
-    prefix: list[int] = []
 
-    def walk(i: int, a: int, b: int) -> None:
-        if i == ell - 1:
-            if b != 0 and a % b == 0 and 1 <= a // b <= n[i]:
-                out.append((*prefix, a // b))
+    def walk(i: int, head: CFString, a: int, b: int) -> None:
+        if i == h:
+            out.extend([head + t for t in table.get(_normalised(a, b), ())])
             return
         for mi in range(1, n[i] + 1):
-            prefix.append(mi)
-            walk(i + 1, b, mi * b - a)
-            prefix.pop()
+            walk(i + 1, head + (mi,), b, mi * b - a)
 
-    walk(0, 0, 1)
+    walk(0, (), 0, 1)
     return out
 
 
@@ -92,19 +122,6 @@ def excess(n: CFString, m: CFString) -> int:
     if len(n) != len(m):
         raise ValueError("length mismatch")
     return sum(n) - sum(m)
-
-
-def continuant(seq: CFString) -> int:
-    """Numerator of the value of seq as a polynomial in the entries.
-
-    K() = 1, K(m_1) = m_1, K(m_1..m_i) = m_i K(..m_{i-1}) - K(..m_{i-2}).
-    The value of a nonempty seq is K(seq)/K(seq[1:]), infinite when the
-    denominator is 0.  K reads the same on the reversed string.
-    """
-    km2, km1 = 0, 1
-    for m in seq:
-        km2, km1 = km1, m * km1 - km2
-    return km1
 
 
 def fib(n: int) -> int:

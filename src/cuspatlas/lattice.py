@@ -168,14 +168,6 @@ class GramForm:
     def rank(self) -> int:
         return len(self.basis)
 
-    @property
-    def negative_definite(self) -> bool:
-        for j in range(1, self.rank + 1):
-            minor = int_det([list(row[:j]) for row in self.matrix[:j]])
-            if minor * (-1) ** j <= 0:
-                return False
-        return True
-
     def to_dict(self) -> dict:
         return {
             "basis": [str(b) for b in self.basis],

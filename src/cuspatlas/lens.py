@@ -8,9 +8,11 @@ homology ball string directly: lowering one entry of n by 1 closes the
 string exactly once, and only for them.
 
 An excess-1 string differs from n at a single entry, so the ball
-search probes len(n) candidates instead of walking the whole bounded
-product space; sweeps must use it, full enumeration is for reports on
-individual spaces.
+search probes len(n) candidates; sweeps must use it.  The full listing
+meets in the middle (cf.enumerate_zero_strings): it costs about
+sqrt(prod(n)) plus the strings it lists, and the number of strings can
+itself grow exponentially in len(n), so reports list them only while
+prod(n) <= 2^20.
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ def bounds(L: LensSpace) -> CFString:
 
 
 def filling_strings(L: LensSpace) -> List[Tuple[CFString, int]]:
-    """Every filling string with its excess, in lexicographic order.
-    Walks the bounded product space; meant for individual reports."""
+    """Every filling string with its excess, in lexicographic order;
+    meant for reports on individual spaces."""
     n = bounds(L)
     return [(m, excess(n, m)) for m in enumerate_zero_strings(n)]
 

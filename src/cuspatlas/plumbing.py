@@ -285,25 +285,6 @@ def curve_resolution(combo: CuspCombo, modes: Sequence[str]) -> PlumbingGraph:
     return surf.freeze(root=root)
 
 
-def nc_resolution(cusp: CuspType) -> PlumbingGraph:
-    """Normal crossing star of a single cusp, exceptional curves only.
-
-    The last vertex is the central -1 curve that meets the branch.
-    """
-    surf = _Surface()
-    root = surf.add_curve(0, "C")
-    _apply_mode(surf, root, _resolve_cusp(surf, root, cusp), "nc")
-    g = surf.freeze(root=root)
-    for tri in g.corners:
-        if root in tri:
-            raise RuntimeError("normal crossing star kept a corner at the root")
-    edges = tuple(
-        sorted((u - 1, v - 1, o) for u, v, o in g.edges if root not in (u, v))
-    )
-    corners = tuple(sorted(tuple(x - 1 for x in tri) for tri in g.corners))
-    return PlumbingGraph(g.eulers[1:], g.labels[1:], edges, corners, root=None)
-
-
 # per-cusp modes of the degree 4 and 5 combinations whose curve has
 # blow-ups to spare after the minimal resolution, keyed by the sorted
 # cusp tuple; these choices fix the frozen quartic and quintic census

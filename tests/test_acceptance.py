@@ -8,9 +8,10 @@ from fractions import Fraction
 from math import gcd
 
 from area_lp import area_feasible
+from oracles import cf_dual, continuant
 
 from cuspatlas.blowdown import blow_down_trace, catalog_lookup
-from cuspatlas.cf import cf_dual, cf_expand, continuant, fib
+from cuspatlas.cf import cf_expand, fib
 from cuspatlas.cusp import CuspCombo, CuspType, enumerate_combos, ms_recognize
 from cuspatlas.lattice import (
     HClass,

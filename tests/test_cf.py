@@ -1,19 +1,14 @@
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cuspatlas.cf import (
-    cf_dual,
-    cf_expand,
-    continuant,
-    enumerate_zero_strings,
-    excess,
-    fib,
-)
+from oracles import cf_dual, continuant, dfs_zero_strings
+
+from cuspatlas.cf import _split, cf_expand, enumerate_zero_strings, excess, fib
 
 
 def eval_oracle(seq):
@@ -176,6 +171,46 @@ def test_zero_strings_match_the_oracle_filter(bounds):
     below = product(*(range(1, b + 1) for b in bounds))
     expected = [m for m in below if eval_oracle(m) == 0]
     assert enumerate_zero_strings(bounds) == expected
+
+
+# the oracle walks the whole product space, so its bounds stay below 2^16
+@given(
+    st.lists(st.integers(1, 4), max_size=12)
+    .map(tuple)
+    .filter(lambda n: prod(n) <= 1 << 16)
+)
+# the bounds of L(274,207), L(535,48) and L(453,364), shaped like the
+# lens listing pool: a long run of 2s between larger entries
+@example((5,) + (2,) * 10 + (7,))
+@example((2,) * 10 + (8, 7))
+@example((6,) + (2,) * 10 + (9,))
+@settings(max_examples=150, deadline=None)
+def test_zero_strings_match_the_plain_walk(bounds):
+    # the same list in the same order as the depth-first walk
+    assert enumerate_zero_strings(bounds) == dfs_zero_strings(bounds)
+
+
+@pytest.mark.parametrize(
+    "bounds, split",
+    [
+        # length 1 and all-1 bounds split at the first entry, so the
+        # table is the whole space and the walk is one lookup
+        ((7,), 0),
+        ((1,), 0),
+        ((1, 1), 0),
+        ((1,) * 5, 0),
+        ((1,) * 8, 0),
+        ((2, 1), 1),  # a last bound of 1: the table holds only (1,)
+        ((3, 2, 2, 1), 2),
+        ((40, 2, 3), 1),  # the split right after the first entry
+        ((2, 2, 2, 2, 2, 5), 4),
+    ],
+)
+def test_zero_strings_at_the_split_edges(bounds, split):
+    assert _split(bounds) == split
+    assert enumerate_zero_strings(bounds) == dfs_zero_strings(bounds)
+    below = product(*(range(1, b + 1) for b in bounds))
+    assert enumerate_zero_strings(bounds) == [m for m in below if eval_oracle(m) == 0]
 
 
 def test_excess():

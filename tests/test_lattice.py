@@ -6,6 +6,7 @@ import pytest
 from area_lp import area_feasible
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import negative_definite
 
 from cuspatlas import lattice
 from cuspatlas.blowdown import blow_down_trace, catalog_lookup
@@ -449,7 +450,7 @@ def test_e6_six_embeddings_and_the_split_pair():
     for e in embs:
         form = complement_form(e)
         assert form.rank == e.k
-        assert form.negative_definite
+        assert negative_definite(form)
 
 
 def test_quartic_tricuspidal_three_embeddings():

@@ -1,13 +1,14 @@
 """Lens space filling strings, ball recognition, the Wahl family."""
 
 import json
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
+from oracles import continuant
 from test_cf import coprime_pairs, eval_oracle
 
-from cuspatlas.cf import continuant, excess, fib
+from cuspatlas.cf import excess, fib
 from cuspatlas.lens import (
     LensSpace,
     _excess_one,
@@ -133,6 +134,18 @@ def test_fibonacci_family():
     for bad in (4, 3, 6):
         with pytest.raises(ValueError):
             fibonacci_boundary(bad)
+
+
+def test_near_limit_listings_are_frozen():
+    # each bounded product space is exactly 2^20, the largest listed
+    for (p, q), count in {
+        (1152, 127): 15246,
+        (1139, 135): 35916,
+        (1138, 113): 20460,
+    }.items():
+        d = to_dict(LensSpace(p, q))
+        assert prod(d["bounds"]) == 1 << 20
+        assert len(d["strings"]) == count
 
 
 def test_report_dict():

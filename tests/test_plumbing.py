@@ -5,9 +5,10 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import continuant, nc_resolution
 
 from cuspatlas import cli
-from cuspatlas.cf import cf_expand, continuant
+from cuspatlas.cf import cf_expand
 from cuspatlas.cusp import CuspCombo, CuspType, enumerate_combos
 from cuspatlas.linalg import int_det
 from cuspatlas.plumbing import (
@@ -17,7 +18,6 @@ from cuspatlas.plumbing import (
     cap_for_combo,
     curve_resolution,
     family_cap,
-    nc_resolution,
 )
 
 cusp_pairs = st.integers(2, 9).flatmap(

@@ -105,16 +105,9 @@ def test_one_function_runs_the_cap_stages():
     assert found == []
 
 
-# functions kept for the tests, which use them as independent oracles
-# (continuant has one src caller, the oracle cf_dual), and a method that
-# argparse calls
-ORACLES = {
-    "cf_dual",
-    "continuant",
-    "nc_resolution",
-    "GramForm.negative_definite",
-    "_Parser.error",
-}
+# a method that argparse calls; the tests' own oracles live in
+# tests/oracles.py, not in src/
+ORACLES = {"_Parser.error"}
 
 
 def test_src_functions_have_src_callers():
