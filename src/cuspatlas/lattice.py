@@ -16,17 +16,19 @@ a branch is cut when a pairing still owed lies outside the range the
 coefficients left to place can add (each adds between the extremes of
 the rows it may take), or when the L1 norm of what is owed exceeds the
 most those coefficients can move it (the triangle inequality); the
-last unit is looked up, as it must pay what is owed exactly.  Partial
-assignments that no positive area form supports are dropped: for the
-degree-zero classes that is exactly a cycle in their dominance graph,
-kept edge by edge as classes are placed, so no linear program runs.
-Results are relabelled canonically and sorted, so repeated runs agree
-bit for bit.
+last unit is looked up, as it must pay what is owed exactly.  The
+orbit prefixes generate each assignment once, and a repeat is an
+internal error.  Complete assignments that no positive area form
+supports are dropped: for the degree-zero classes that is exactly a
+cycle in their dominance graph, tested once per assignment, so no
+linear program runs.  Results are relabelled canonically and sorted, so
+repeated runs agree bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 from itertools import accumulate
 from math import isqrt
 from typing import Iterable, Iterator, Literal, Mapping, Sequence, Union
@@ -444,36 +446,28 @@ def _canonical_classes(
     )
 
 
-def _dominance_edges(row: Mapping[int, int]) -> tuple[int, list[int]]:
-    # the class e_a - sum(e_b for b in S) as its head a and tails S
-    heads = [i for i, c in row.items() if c == 1]
-    if len(heads) != 1 or any(c not in (1, -1) for c in row.values()):
-        raise ValueError(f"not a degree-zero sphere class: {dict(row)}")
-    return heads[0], [i for i, c in row.items() if c == -1]
-
-
-def _closes_cycle(succ: Mapping[int, Sequence[int]], row: Mapping[int, int]) -> bool:
-    """Does the degree-zero class `row` starve some class of area, given
-    the dominance edges `succ` (head -> tails) of those placed before it?
+def _area_positive(zero_rows: Iterable[Mapping[int, int]]) -> bool:
+    """Does some area form give every degree-zero class in zero_rows
+    positive area?
 
     Degree-zero classes are the only ones an area form can starve:
     anything with a0 > 0 is fed by a large enough w(h).  Each one is
     e_a - sum(e_b for b in S), of positive area iff w(e_a) > sum(w(e_b)),
     read as edges a -> b.  A cycle through a would force w(e_a) > w(e_a);
     without one, weights given in reverse topological order, each 1 more
-    than the sum over its successors, satisfy every row.  By induction
-    succ has no cycle, since the search keeps only rows that close none,
-    so a cycle must use the new edges, and through their common head a:
-    the row closes one iff a is reachable from some b in S.
+    than the sum over its successors, satisfy every row.
     """
-    head, tails = _dominance_edges(row)
-    seen, stack = set(tails), list(tails)
-    while stack:
-        for b in succ.get(stack.pop(), ()):
-            if b not in seen:
-                seen.add(b)
-                stack.append(b)
-    return head in seen
+    edges: dict[int, list[int]] = {}
+    for row in zero_rows:
+        heads = [i for i, c in row.items() if c == 1]
+        if len(heads) != 1 or any(c not in (1, -1) for c in row.values()):
+            raise ValueError(f"not a degree-zero sphere class: {dict(row)}")
+        edges.setdefault(heads[0], []).extend(i for i, c in row.items() if c == -1)
+    try:
+        TopologicalSorter(edges).prepare()
+    except CycleError:
+        return False
+    return True
 
 
 class _Search:
@@ -495,11 +489,7 @@ class _Search:
                 )
 
     def candidates(
-        self,
-        pos: int,
-        assigned: Sequence[tuple[int, dict[int, int]]],
-        succ: Mapping[int, Sequence[int]],
-        n_used: int,
+        self, pos: int, assigned: Sequence[tuple[int, dict[int, int]]], n_used: int
     ) -> Iterator[tuple[int, dict[int, int], int]]:
         v = self.order[pos]
         a0 = 1 if v == self.g.root else self.req[v][self.g.root]
@@ -518,45 +508,25 @@ class _Search:
                         raise RuntimeError(
                             f"distribution for vertex {v} pairs to {got}, not {want}"
                         )
-                if a0 == 0 and _closes_cycle(succ, co):
-                    continue
                 yield a0, co, new_used
 
     def dfs(
         self,
         pos: int,
         assigned: list[tuple[int, dict[int, int]]],
-        succ: dict[int, list[int]],
         n_used: int,
-        sink: dict,
+        leaves: list[Embedding],
     ) -> None:
         if pos == self.g.n:
-            self.emit(assigned, n_used, sink)
+            by_vertex = [entry for _, entry in sorted(zip(self.order, assigned))]
+            leaves.append(Embedding(self.g, _canonical_classes(by_vertex), n_used))
             return
         # materialised so that no open generator holds its bound tables
-        # while the search descends.  succ holds the dominance edges of
-        # the degree-zero classes placed so far, a list per head
-        for a0, co, new_used in list(self.candidates(pos, assigned, succ, n_used)):
+        # while the search descends
+        for a0, co, new_used in list(self.candidates(pos, assigned, n_used)):
             assigned.append((a0, co))
-            if a0 == 0:
-                head, tails = _dominance_edges(co)
-                edges = succ.setdefault(head, [])
-                edges.extend(tails)
-            self.dfs(pos + 1, assigned, succ, new_used, sink)
-            if a0 == 0:
-                del edges[len(edges) - len(tails):]
+            self.dfs(pos + 1, assigned, new_used, leaves)
             assigned.pop()
-
-    def emit(
-        self, assigned: Sequence[tuple[int, dict[int, int]]], n_used: int, sink: dict
-    ) -> None:
-        by_vertex: list[tuple[int, dict[int, int]]] = [None] * self.g.n  # type: ignore
-        for pos, entry in enumerate(assigned):
-            by_vertex[self.order[pos]] = entry
-        classes = _canonical_classes(by_vertex)
-        emb = Embedding(self.g, classes, n_used)
-        key = (emb.n_used, tuple((c.a0, c.coeffs) for c in classes))
-        sink.setdefault(key, emb)
 
 
 def enumerate_embeddings(g: PlumbingGraph) -> tuple[Embedding, ...]:
@@ -567,17 +537,25 @@ def enumerate_embeddings(g: PlumbingGraph) -> tuple[Embedding, ...]:
     coefficient profiles per vertex.  A profile's coefficients are
     distributed over the exceptional indices under running bounds on
     the pairings with the classes already placed, so every candidate
-    generated pairs as required.  Candidates are then pruned by area:
-    the degree-zero classes so far must leave their dominance graph
+    generated pairs as required.  Each complete assignment is generated
+    once, so two equal leaves are an internal error (RuntimeError), and
+    it is kept iff its degree-zero classes leave their dominance graph
     (e_a -> e_b for each class e_a - ... - e_b - ...) without a cycle.
     Output order and labelling are the same on every run.
     """
     search = _Search(g)
     if any(not p for p in search.profiles):
         return ()
-    found: dict = {}
-    search.dfs(1, [(1, {})], {}, 0, found)
-    embeddings = tuple(found[key] for key in sorted(found))
+    leaves: list[Embedding] = []
+    search.dfs(1, [(1, {})], 0, leaves)
+    leaves.sort(key=lambda e: (e.n_used, tuple((c.a0, c.coeffs) for c in e.classes)))
+    for a, b in zip(leaves, leaves[1:]):
+        if a == b:
+            raise RuntimeError(f"the search yields one embedding twice: {a.to_dict()}")
+    embeddings = tuple(
+        e for e in leaves
+        if _area_positive(dict(c.coeffs) for c in e.classes if c.a0 == 0)
+    )
     for emb in embeddings:
         _assert_positive_scan(emb)
     return embeddings

@@ -4,11 +4,12 @@ import random
 
 import pytest
 from area_lp import area_feasible
+from caps import plus_one_caps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import negative_definite
 
-from cuspatlas import lattice
+from cuspatlas import cli, lattice
 from cuspatlas.blowdown import blow_down_trace, catalog_lookup
 from cuspatlas.cusp import CuspCombo, CuspType, enumerate_combos, semigroup_condition
 from cuspatlas.lattice import (
@@ -133,66 +134,72 @@ degree_zero_rows = st.lists(
 )
 
 
-def _edges_of(kept):
-    # the dominance edges of degree-zero rows, a list per head
-    succ = {}
-    for d in kept:
-        head = next(i for i, c in d.items() if c == 1)
-        succ.setdefault(head, []).extend(i for i, c in d.items() if c == -1)
-    return succ
-
-
 @given(rows=degree_zero_rows)
 @settings(max_examples=300)
 def test_dominance_cycle_agrees_with_the_area_lp(rows):
-    # rows arrive one at a time, as the search places them, and only the
-    # rows the check accepts stay; heads may repeat here
-    kept = []
-    for a, rest in rows:
-        d = {a: 1, **{b: -1 for b in rest}}
-        closes = lattice._closes_cycle(_edges_of(kept), d)
-        assert closes == (not area_feasible([HClass.make(0, r) for r in [*kept, d]]))
-        if not closes:
-            kept.append(d)
+    # whole row sets, as a leaf hands them over; heads may repeat here
+    rows = [{a: 1, **{b: -1 for b in rest}} for a, rest in rows]
+    want = area_feasible([HClass.make(0, r) for r in rows])
+    assert lattice._area_positive(rows) == want
 
 
 def test_dominance_cycle_shapes():
-    assert not lattice._closes_cycle({}, {0: 1})
-    assert not lattice._closes_cycle({0: []}, {1: 1, 0: -1})
-    assert lattice._closes_cycle({0: [1, 2]}, {1: 1, 0: -1, 2: -1})
-    # 2 -> 0 -> 1 and a new row 1 -> 2 closes the cycle through its head
-    assert lattice._closes_cycle({2: [0], 0: [1]}, {1: 1, 2: -1})
-    assert not lattice._closes_cycle({2: [0], 0: [1]}, {3: 1, 2: -1})
+    assert lattice._area_positive([])
+    assert lattice._area_positive([{0: 1}, {1: 1, 0: -1}])
+    assert not lattice._area_positive([{0: 1, 1: -1, 2: -1}, {1: 1, 0: -1, 2: -1}])
+    # 2 -> 0 -> 1 and a row 1 -> 2 close a cycle; a row 3 -> 2 closes none
+    chain = [{2: 1, 0: -1}, {0: 1, 1: -1}]
+    assert not lattice._area_positive([*chain, {1: 1, 2: -1}])
+    assert lattice._area_positive([*chain, {3: 1, 2: -1}])
+    # a repeated head keeps the edges of both its rows
+    assert not lattice._area_positive([{0: 1, 1: -1}, {0: 1, 2: -1}, {2: 1, 0: -1}])
     with pytest.raises(ValueError):
-        lattice._closes_cycle({}, {0: 1, 1: 1})
+        lattice._area_positive([{0: 1, 1: 1}])
     with pytest.raises(ValueError):
-        lattice._closes_cycle({}, {0: 2, 1: -1})
+        lattice._area_positive([{0: 2, 1: -1}])
 
 
 def test_the_search_cuts_what_the_cycle_check_reports(monkeypatch):
     # every embedding of A3 places degree-zero classes, so a check that
     # always reports a cycle must leave nothing
     assert enumerate_embeddings(cap("A_p", p=3))
-    monkeypatch.setattr(lattice, "_closes_cycle", lambda succ, row: True)
+    monkeypatch.setattr(lattice, "_area_positive", lambda zero_rows: False)
     assert enumerate_embeddings(cap("A_p", p=3)) == ()
 
 
-def test_the_search_hands_the_check_the_edges_placed_so_far(monkeypatch):
-    real = lattice._Search.candidates
+def test_the_check_sees_each_leafs_degree_zero_classes(monkeypatch):
+    real = lattice._area_positive
     calls = []
 
-    def wrapper(self, pos, assigned, succ, n_used):
-        zero = [co for a0, co in assigned if a0 == 0]
-        have = {h: sorted(ts) for h, ts in succ.items() if ts}
-        want = {h: sorted(ts) for h, ts in _edges_of(zero).items() if ts}
-        assert have == want
-        calls.append(len(zero))
-        return real(self, pos, assigned, succ, n_used)
+    def wrapper(zero_rows):
+        rows = list(zero_rows)
+        calls.append(sorted(sorted(row.items()) for row in rows))
+        return real(rows)
 
-    monkeypatch.setattr(lattice._Search, "candidates", wrapper)
+    monkeypatch.setattr(lattice, "_area_positive", wrapper)
     for kind, p in (("A_p", 5), ("B_p", 3), ("E6", None)):
-        assert enumerate_embeddings(cap(kind, p))
-    assert max(calls) >= 3
+        start = len(calls)
+        embs = enumerate_embeddings(cap(kind, p))
+        assert embs
+        # one call per leaf, in output order: no cycle cuts these caps
+        want = [sorted(list(c.coeffs) for c in e.classes if c.a0 == 0) for e in embs]
+        assert calls[start:] == want
+    assert max(map(len, calls)) >= 3
+
+
+def test_a_repeated_embedding_is_an_internal_error(monkeypatch, capsys):
+    real = lattice._distributions
+
+    def twice(*args):
+        for item in real(*args):
+            yield item
+            yield item
+
+    monkeypatch.setattr(lattice, "_distributions", twice)
+    with pytest.raises(RuntimeError, match="twice"):
+        enumerate_embeddings(cap("A_p", p=3))
+    assert cli.main(["embed", "A", "3", "--json"]) == 3
+    assert "atlas: internal error:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- search
@@ -601,6 +608,15 @@ def _embedding_invariants(g):
     return sorted(out)
 
 
+def _invariants_survive_shuffles(g, rng, shuffles):
+    want = _embedding_invariants(g)
+    for _ in range(shuffles):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert _embedding_invariants(_permuted(g, perm)) == want
+    return want
+
+
 def test_vertex_order_does_not_change_embeddings_or_verdicts():
     rng = random.Random(1907)
     graphs = (
@@ -610,12 +626,11 @@ def test_vertex_order_does_not_change_embeddings_or_verdicts():
         combo_cap(5, (2, 7), (3, 4)),
     )
     for g in graphs:
-        want = _embedding_invariants(g)
-        assert want
-        for _ in range(4):
-            perm = list(range(g.n))
-            rng.shuffle(perm)
-            assert _embedding_invariants(_permuted(g, perm)) == want
+        assert _invariants_survive_shuffles(g, rng, 4)
+    # and every +1 cap of degree at most 6, with embeddings or without
+    for d in range(3, 7):
+        for g in plus_one_caps(d):
+            _invariants_survive_shuffles(g, rng, 3)
 
 
 def test_embedding_validation_catches_broken_assignments():
@@ -649,6 +664,13 @@ def test_ambient_rejects_more_blowups_than_indices():
     fiber = HClass.make(1, {0: -1})
     with pytest.raises(ValueError):
         ambient(Embedding(g, (HClass(1), fiber, fiber), 1))
+
+
+def test_embeddings_search_needs_a_connected_graph():
+    # a +1 root and a -1 sphere that meets nothing
+    g = PlumbingGraph((1, -1), ("C", "E"), (), (), root=0)
+    with pytest.raises(ValueError, match="connected"):
+        enumerate_embeddings(g)
 
 
 def test_embeddings_search_needs_a_rooted_plus_one():
