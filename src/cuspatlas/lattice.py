@@ -15,22 +15,24 @@ a time (some units of one coefficient into a prefix of one orbit), and
 a branch is cut when a pairing still owed lies outside the range the
 coefficients left to place can add (each adds between the extremes of
 the rows it may take), or when the L1 norm of what is owed exceeds the
-most those coefficients can move it (the triangle inequality); the
-last unit is looked up, as it must pay what is owed exactly.  The
-orbit prefixes generate each assignment once, and a repeat is an
-internal error.  Complete assignments that no positive area form
-supports are dropped: for the degree-zero classes that is exactly a
-cycle in their dominance graph, tested once per assignment, so no
-linear program runs.  Results are relabelled canonically and sorted, so
-repeated runs agree bit for bit.
+most those coefficients can move it (the triangle inequality).  The
+last unit is looked up and the last two are joined on the orbits of
+one owed class, as they must pay what is owed exactly.  The orbit
+prefixes generate each assignment once, and a repeat is an internal
+error.  Complete assignments that no positive area form supports are
+dropped: for the degree-zero classes that is exactly a cycle in their
+dominance graph, tested once per assignment, so no linear program
+runs.  Results are relabelled canonically and sorted, so repeated runs
+agree bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import isqrt
+from operator import floordiv, mod
 from typing import Iterable, Iterator, Literal, Mapping, Sequence, Union
 
 from .linalg import int_det, int_kernel_basis
@@ -314,28 +316,52 @@ def _distributions(
       norm of the need is at most the sum of the largest such moves.
       It is tested before a placement into an orbit is entered, so one
       that cannot close costs no generator frame.
-    The last unit of the last value is placed without a scan.  Nothing
-    follows it, so it must pay the need exactly, and a unit in orbit o
-    pays val * rows[o]: it goes to each orbit from oi on whose row is
-    need / val and that has a free member (several when rows repeat),
-    nowhere if val does not divide the need, and onto a fresh index,
-    which pays nothing, only when nothing is owed.  Those are the
-    leaves the scan would reach.  Every other leaf must hit every
-    target.
+    The last one or two units are placed without a scan.  Nothing
+    follows them, so they must pay the need exactly, and a unit of val
+    in orbit o pays val * rows[o]; a fresh index pays nothing.
+    - One unit goes to each orbit from oi on whose row is need / val
+      and that has a free member (several when rows repeat), nowhere if
+      val does not divide the need, and onto a fresh index only when
+      nothing is owed.
+    - Two units, v1 then v2 (two of the last value, or one of each of
+      the last two values), are a join: v1 * rows[o1] + v2 * rows[o2]
+      = need.  With something owed, one owed class suffices: only its
+      own orbits carry it (fresh indices and the other orbits carry 0),
+      so every pair that pays it has a unit there.  The class with the
+      fewest orbits is taken, each of its orbits is tried as o1 and as
+      o2, and the partner is looked up by its exact row, as for one
+      unit; when nothing is left for the partner it may also go fresh.
+      The o2 direction skips partners that also carry the class, since
+      the o1 direction finds those.  With nothing owed, every orbit from
+      oi on and the fresh indices are tried as o1, in one direction.
+      Both units keep the scan's order: o1 >= oi, and o2 >= o1 within
+      one value, where o1 = o2 needs two free members; a unit of the
+      last value may take any orbit, o1's own included, where it takes
+      the member after o1's.  Each fresh unit moves the fresh watermark
+      by one.
+    Those are the leaves the scan would reach.  Every other leaf must
+    hit every target.
     """
     no, last = len(orbits), len(groups) - 1
-    # l1[o]: the largest row L1 norm over the orbits from o on, 0 for
-    # the fresh indices; later_l1[gi]: what the groups after gi can move
-    norms = (sum(abs(c) for _, c in row) for row in reversed(rows))
-    l1 = [*accumulate(norms, max, initial=0)][::-1]
-    moves = (cnt * abs(val) * l1[0] for val, cnt in reversed(groups[1:]))
-    later_l1 = [*accumulate(moves, initial=0)][::-1]
+    # units[gi]: the units of group gi and the groups after it
+    units = [*accumulate((cnt for _, cnt in reversed(groups)), initial=0)][::-1]
+    if units[0] > 2:
+        # the L1 cut only runs in a scan, so only before the last two
+        # units.  l1[o]: the largest row L1 norm over the orbits from o
+        # on, 0 for the fresh indices; later_l1[gi]: what the groups
+        # after gi can move
+        norms = (sum(abs(c) for _, c in row) for row in reversed(rows))
+        l1 = [*accumulate(norms, max, initial=0)][::-1]
+        moves = (cnt * abs(val) * l1[0] for val, cnt in reversed(groups[1:]))
+        later_l1 = [*accumulate(moves, initial=0)][::-1]
     by_class: dict[int, list[tuple[int, int]]] = {}
     orbits_of: dict[Row, list[int]] = {}
     for o, row in enumerate(rows):
         orbits_of.setdefault(row, []).append(o)
         for u, c in row:
             by_class.setdefault(u, []).append((o, c))
+    # width[u]: how many orbits carry class u
+    width = [len(by_class.get(u, ())) for u in range(len(targets))]
     tables: dict[int, list[tuple[list[int], list[int], int, int]]] = {}
 
     def table(u: int) -> list[tuple[list[int], list[int], int, int]]:
@@ -360,6 +386,65 @@ def _distributions(
     taken = [0] * no
     acc: list[tuple[int, int]] = []
 
+    def paying(rem: dict[int, int], val: int) -> list[int]:
+        # the orbits where a unit of val pays rem exactly, then no (the
+        # fresh indices) when rem is empty
+        if not rem:
+            return [*orbits_of.get((), ()), no]
+        if val == 1:
+            return orbits_of.get(tuple(sorted(rem.items())), [])
+        if any(map(mod, rem.values(), repeat(val))):
+            return []
+        quotients = map(floordiv, rem.values(), repeat(val))
+        return orbits_of.get(tuple(sorted(zip(rem, quotients))), [])
+
+    def less(val: int, o: int) -> dict[int, int]:
+        # the need once a unit of val sits in orbit o
+        rem = dict(need)
+        for u, c in rows[o] if o < no else ():
+            s = rem.pop(u, 0) - val * c
+            if s:
+                rem[u] = s
+        return rem
+
+    def member(o: int, k: int, fresh_at: int) -> int | None:
+        # the index k places past the first free one of orbit o (of the
+        # fresh indices when o == no), None when the orbit runs out
+        if o == no:
+            return fresh_at + k
+        j = taken[o] + k
+        return orbits[o][j] if j < len(orbits[o]) else None
+
+    def join(
+        gi: int, oi: int, fresh_at: int
+    ) -> list[tuple[list[tuple[int, int]], int]]:
+        # the last two units: the exact join of the docstring
+        v1, v2, same = groups[gi][0], groups[last][0], gi == last
+        pairs: list[tuple[int, int]] = []
+        if need:
+            u = min(need, key=width.__getitem__)
+            for o, c in by_class.get(u, ()):
+                if o >= oi:
+                    for o2 in paying(less(v1, o), v2):
+                        pairs.append((o, o2))
+                # o as o2 with a first unit that pays u nothing
+                if v2 * c == need[u] and (o >= oi or not same):
+                    for o1 in paying(less(v2, o), v1):
+                        pairs.append((o1, o))
+        else:
+            for o1 in range(oi, no + 1):
+                for o2 in paying(less(v1, o1), v2):
+                    pairs.append((o1, o2))
+        out = []
+        for o1, o2 in pairs:
+            if o1 < oi or same and o2 < o1:
+                continue
+            i1, i2 = member(o1, 0, fresh_at), member(o2, o1 == o2, fresh_at)
+            if i1 is not None and i2 is not None:
+                end = fresh_at + (o1 == no) + (o2 == no)
+                out.append(([*acc, (i1, v1), (i2, v2)], end))
+        return out
+
     def place(
         gi: int, oi: int, left: int, fresh_at: int, norm: int
     ) -> Iterator[tuple[list[tuple[int, int]], int]]:
@@ -373,16 +458,16 @@ def _distributions(
                 return
             left = groups[gi][1]
         val = groups[gi][0]
-        if gi == last and left == 1:
+        rest = left + units[gi + 1]
+        if rest == 2:
+            yield from join(gi, oi, fresh_at)
+            return
+        if rest == 1:
             # the last unit: the exact close of the docstring
-            if any(r % val for r in need.values()):
-                return
-            exact = tuple(sorted((u, r // val) for u, r in need.items()))
-            for o in orbits_of.get(exact, ()):
-                if o >= oi and taken[o] < len(orbits[o]):
-                    yield [*acc, (orbits[o][taken[o]], val)], fresh_at
-            if not need:
-                yield [*acc, (fresh_at, val)], fresh_at + 1
+            for o in paying(need, val):
+                i = member(o, 0, fresh_at)
+                if o >= oi and i is not None:
+                    yield [*acc, (i, val)], fresh_at + (o == no)
             return
         live = [(r, (tables.get(u) or table(u))[gi]) for u, r in need.items()]
         n, size = left * val, abs(val)

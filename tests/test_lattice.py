@@ -303,7 +303,8 @@ def test_distributions_yield_exactly_the_required_pairings(monkeypatch):
     # the unpruned placements filtered by the pairing check agree
     seen = []
     monkeypatch.setattr(lattice, "_distributions", _checked_distributions(seen))
-    for g in [cap(kind, p) for kind, p in BENCH_CAPS] + _combo_caps((3, 4, 5)):
+    graphs = [cap(kind, p) for kind, p in BENCH_CAPS] + _combo_caps((3, 4, 5))
+    for g in graphs + [g for d in range(3, 7) for g in plus_one_caps(d)]:
         enumerate_embeddings(g)
     assert sum(seen) > 0
 
@@ -319,6 +320,12 @@ def test_pairing_mismatch_from_the_generator_is_an_internal_error(monkeypatch):
         enumerate_embeddings(cap("A_p", p=2))
 
 
+def _numbered(sizes):
+    # orbits of these sizes, their members numbered in order from 0
+    starts = [sum(sizes[:o]) for o in range(len(sizes))]
+    return [list(range(s, s + n)) for s, n in zip(starts, sizes)]
+
+
 @st.composite
 def distribution_instances(draw):
     # the caps only reach coefficients +-1; values and columns up to 2 in
@@ -326,8 +333,7 @@ def distribution_instances(draw):
     values = draw(st.lists(st.sampled_from((2, 1, -1, -2)), unique=True, max_size=4))
     groups = [(v, draw(st.integers(1, 3))) for v in sorted(values, reverse=True)]
     sizes = draw(st.lists(st.integers(1, 3), max_size=4))
-    starts = [sum(sizes[:o]) for o in range(len(sizes))]
-    orbits = [list(range(s, s + n)) for s, n in zip(starts, sizes)]
+    orbits = _numbered(sizes)
     nu = draw(st.integers(0, 4))
     cols = [tuple(draw(st.lists(st.integers(-2, 2), min_size=nu, max_size=nu)))
             for _ in orbits]
@@ -341,13 +347,14 @@ def distribution_instances(draw):
         col_of = {i: col for members, col in zip(orbits, cols) for i in members}
         targets = [sum(val * col_of[i][u] for i, val in items if i in col_of)
                    for u in range(nu)]
-    return groups, orbits, cols, targets, fresh_start, placements
+    return groups, sizes, cols, targets
 
 
-@given(instance=distribution_instances())
-@settings(max_examples=150, deadline=None)
-def test_distributions_match_the_filtered_placements(instance):
-    groups, orbits, cols, targets, fresh_start, placements = instance
+def _filtered_placements(groups, sizes, cols, targets):
+    # what _distributions yields and what the unpruned placements that
+    # pair as required are, on orbits of these sizes
+    orbits = _numbered(sizes)
+    fresh_start = sum(sizes)
     got = sorted(
         (tuple(sorted(items)), end)
         for items, end in lattice._distributions(
@@ -356,10 +363,56 @@ def test_distributions_match_the_filtered_placements(instance):
     )
     want = sorted(
         (tuple(sorted(items)), end)
-        for items, end in placements
+        for items, end in _unpruned(groups, orbits, [0] * len(orbits), fresh_start)
         if _pairs_as_required(items, orbits, cols, targets)
     )
+    return got, want
+
+
+@given(instance=distribution_instances())
+@settings(max_examples=150, deadline=None)
+def test_distributions_match_the_filtered_placements(instance):
+    got, want = _filtered_placements(*instance)
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "groups, sizes, cols, targets, found",
+    [
+        # two units of one value in one orbit: two free members, then one
+        ([(-1, 2)], [2], [(1,)], [-2], 1),
+        ([(-1, 2)], [1], [(1,)], [-2], 0),
+        # o1 < o2 among equal rows, and o1 >= oi once the scan has
+        # placed the first of three units
+        ([(-1, 3)], [1, 1, 1], [(1,), (1,), (1,)], [-2], 3),
+        # the same with the first unit of the next-to-last value, whose
+        # partner may lie in an orbit below oi (class 0, orbit 2 only)
+        ([(-1, 2), (-2, 1)], [2, 1, 1], [(0, 1), (0, 1), (1, 0)], [-2, -2], 2),
+        # the unit of the last value in o1's own orbit, owed and not
+        ([(-1, 1), (-2, 1)], [2], [(1,)], [-3], 1),
+        ([(-1, 1), (-2, 1)], [1], [(1,)], [-3], 0),
+        ([(1, 1), (-1, 1)], [2], [(1,)], [0], 2),
+        # a fresh partner, for the first unit and for the second
+        ([(1, 1), (-1, 1)], [1], [(1,)], [1], 1),
+        ([(1, 1), (-1, 1)], [1], [(-1,)], [1], 1),
+        # within one value, a first unit that pays nothing to the owed
+        # class with the fewest orbits (class 0, orbit 1 only)
+        ([(-1, 2)], [1, 1], [(0, 1), (1, 1)], [-1, -2], 1),
+        # both fresh, across two values and within one
+        ([(1, 1), (-1, 1)], [], [], [], 1),
+        ([(-1, 2)], [1], [(1,)], [0], 1),
+        # nothing owed: opposite rows cancel
+        ([(-1, 2)], [1, 1], [(1,), (-1,)], [0], 2),
+        # an owed class that no orbit carries
+        ([(1, 1), (-1, 1)], [1], [(1, 0)], [0, 1], 0),
+    ],
+)
+def test_the_last_two_units_join_as_the_unpruned_placements(
+    groups, sizes, cols, targets, found
+):
+    got, want = _filtered_placements(groups, sizes, cols, targets)
+    assert got == want
+    assert len(got) == found
 
 
 def _dense_orbits(cos, n_used):
