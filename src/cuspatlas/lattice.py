@@ -9,21 +9,27 @@ only finitely many coefficient multisets (profiles); the search assigns
 classes vertex by vertex in breadth-first order from the root (which is
 always sent to h) and breaks the permutation symmetry of exceptional
 indices by orbit prefixes.  It generates only classes with the required
-pairings against the classes already placed, reading each orbit as its
-sparse row of nonzero coefficients.  A class is built one placement at
-a time (some units of one coefficient into a prefix of one orbit), and
-a branch is cut when a pairing still owed lies outside the range the
-coefficients left to place can add (each adds between the extremes of
-the rows it may take), or when the L1 norm of what is owed exceeds the
-most those coefficients can move it (the triangle inequality).  The
-last unit is looked up and the last two are joined on the orbits of
-one owed class, as they must pay what is owed exactly.  The orbit
-prefixes generate each assignment once, and a repeat is an internal
-error.  Complete assignments that no positive area form supports are
-dropped: for the degree-zero classes that is exactly a cycle in their
-dominance graph, tested once per assignment, so no linear program
-runs.  Results are relabelled canonically and sorted, so repeated runs
-agree bit for bit.
+pairings against the classes already placed.  The search carries each
+index's column, the (position, coefficient) pairs the placed classes
+put on it, appending as it places a class and popping as it backs off;
+a node only groups equal columns into orbits, each read as that sparse
+row, and rechecks a candidate's pairings from the columns of its own
+indices.  A class is built one placement at a time (some units of one
+coefficient into a prefix of one orbit), and a branch is cut when a
+pairing still owed lies outside the range the coefficients left to
+place can add (each adds between the extremes of the rows it may
+take), or when the L1 norm of what is owed exceeds the most those
+coefficients can move it (the triangle inequality).  The last unit is
+looked up and the last two are joined on the orbits of one owed class,
+as they must pay what is owed exactly.  The orbit prefixes generate
+each assignment once, and a repeat is an internal error.  Complete
+assignments that no positive area form supports are dropped: for the
+degree-zero classes that is exactly a cycle in their dominance graph,
+tested once per assignment, so no linear program runs.  Results are
+relabelled canonically and sorted, so repeated runs agree bit for bit.
+Each result checks itself from its own classes, not from the search's
+columns: adjunction per vertex, and a Gram matrix read index by index
+against the graph's pairings.
 """
 
 from __future__ import annotations
@@ -79,9 +85,6 @@ class HClass:
             if j == i:
                 return c
         return 0
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.coeffs)
 
     def pairing(self, other: "HClass") -> int:
         val = self.a0 * other.a0
@@ -181,8 +184,24 @@ class GramForm:
         }
 
 
+def _gram_matrix(classes: Sequence[HClass]) -> list[list[int]]:
+    # every pairing, read index by index: the (class, coefficient) pairs
+    # on e_i subtract their products from the h-part, pair by pair
+    out = [[x.a0 * y.a0 for y in classes] for x in classes]
+    cols: dict[int, list[tuple[int, int]]] = {}
+    for u, x in enumerate(classes):
+        for i, c in x.coeffs:
+            cols.setdefault(i, []).append((u, c))
+    for col in cols.values():
+        for u, c in col:
+            row = out[u]
+            for v, d in col:
+                row[v] -= c * d
+    return out
+
+
 def _gram_of(basis: tuple[HClass, ...]) -> GramForm:
-    matrix = tuple(tuple(x.pairing(y) for y in basis) for x in basis)
+    matrix = tuple(map(tuple, _gram_matrix(basis)))
     det = int_det([list(row) for row in matrix]) if basis else 1
     parity: Parity = (
         "even" if all(matrix[i][i] % 2 == 0 for i in range(len(basis))) else "odd"
@@ -206,17 +225,18 @@ class Embedding:
             raise ValueError("one class per vertex")
         if self.classes[g.root] != HClass(1):
             raise ValueError("the root must carry h")
-        used = {i for c in self.classes for i in c.support()}
+        used = {i for c in self.classes for i, _ in c.coeffs}
         if used != set(range(self.n_used)):
             raise ValueError("exceptional indices must be 0..n_used-1")
         kanon = canonical_class(self.n_used)
         req = g.intersection_matrix()
+        gram = _gram_matrix(self.classes)
         for u, cu in enumerate(self.classes):
             if kanon.pairing(cu) != -2 - g.eulers[u]:
                 raise ValueError(f"vertex {u} violates adjunction")
-            for v in range(u, g.n):
-                if cu.pairing(self.classes[v]) != req[u][v]:
-                    raise ValueError(f"classes at {u},{v} miss the graph pairing")
+            if gram[u][u:] != req[u][u:]:
+                v = next(v for v in range(u, g.n) if gram[u][v] != req[u][v])
+                raise ValueError(f"classes at {u},{v} miss the graph pairing")
 
     @property
     def k(self) -> int:
@@ -250,20 +270,16 @@ def _bfs_order(g: PlumbingGraph) -> list[int]:
 
 
 def _orbits(
-    cos: Sequence[Mapping[int, int]], n_used: int
+    cols: Sequence[Sequence[tuple[int, int]]]
 ) -> tuple[list[list[int]], list[Row]]:
-    # indices with the same row, the (class, nonzero coefficient) pairs
-    # over the assigned classes, are interchangeable; the search only
-    # ever takes a prefix of each orbit.  Returns the orbits and their
-    # rows, in the same order, the orbits in order of first member
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(n_used)]
-    for u, c in enumerate(cos):
-        for i, x in c.items():
-            if x:
-                rows[i].append((u, x))
+    # indices with the same column, the (class, nonzero coefficient) pairs
+    # the assigned classes put on them, are interchangeable; the search
+    # only ever takes a prefix of each orbit.  Returns the orbits and
+    # their rows (the shared column), in the same order, the orbits in
+    # order of first member
     groups: dict[Row, list[int]] = {}
-    for i, row in enumerate(rows):
-        groups.setdefault(tuple(row), []).append(i)
+    for i, col in enumerate(cols):
+        groups.setdefault(tuple(col), []).append(i)
     return list(groups.values()), list(groups)
 
 
@@ -360,8 +376,6 @@ def _distributions(
         orbits_of.setdefault(row, []).append(o)
         for u, c in row:
             by_class.setdefault(u, []).append((o, c))
-    # width[u]: how many orbits carry class u
-    width = [len(by_class.get(u, ())) for u in range(len(targets))]
     tables: dict[int, list[tuple[list[int], list[int], int, int]]] = {}
 
     def table(u: int) -> list[tuple[list[int], list[int], int, int]]:
@@ -422,7 +436,7 @@ def _distributions(
         v1, v2, same = groups[gi][0], groups[last][0], gi == last
         pairs: list[tuple[int, int]] = []
         if need:
-            u = min(need, key=width.__getitem__)
+            u = min(need, key=lambda u: len(by_class.get(u, ())))
             for o, c in by_class.get(u, ()):
                 if o >= oi:
                     for o2 in paying(less(v1, o), v2):
@@ -511,22 +525,20 @@ def _canonical_classes(
 ) -> tuple[HClass, ...]:
     # relabel indices by first use scanning vertices in order; inside one
     # class larger coefficients come first, and same-coefficient ties go
-    # to the index whose later history compares smaller
+    # to the index whose later history (its column past this vertex)
+    # compares smaller
     nv = len(by_vertex)
+    cols: dict[int, list[int]] = {}
+    for v, (_, co) in enumerate(by_vertex):
+        for i, c in co.items():
+            cols.setdefault(i, [0] * nv)[v] = c
     mapping: dict[int, int] = {}
-    nxt = 0
     for v, (_, co) in enumerate(by_vertex):
         fresh = [i for i in co if i not in mapping]
-
-        def key(i: int, v: int = v) -> tuple:
-            future = tuple(by_vertex[u][1].get(i, 0) for u in range(v + 1, nv))
-            return (-co[i], future)
-
-        for i in sorted(fresh, key=key):
-            mapping[i] = nxt
-            nxt += 1
+        for i in sorted(fresh, key=lambda i: (-co[i], cols[i][v + 1:])):
+            mapping[i] = len(mapping)
     return tuple(
-        HClass.make(a0, {mapping[i]: c for i, c in co.items()})
+        HClass(a0, tuple(sorted((mapping[i], c) for i, c in co.items())))
         for a0, co in by_vertex
     )
 
@@ -563,55 +575,74 @@ class _Search:
             raise ValueError("the root must be a +1 sphere")
         self.g = g
         self.order = _bfs_order(g)
-        self.req = g.intersection_matrix()
-        self.profiles: list[list[tuple[int, ...]]] = []
-        for v in self.order:
-            if v == g.root:
-                self.profiles.append([()])
-            else:
-                self.profiles.append(
-                    adjunction_profiles(self.req[v][g.root], g.eulers[v])
-                )
+        req = g.intersection_matrix()
+        # per position: a0, the h-degree (the pairing with the root, 1 at
+        # the root itself), and the targets, the e-part of the pairing with
+        # each earlier position (a0 * ua0 minus what the graph wants);
+        # both are fixed per graph
+        self.a0s = [req[v][g.root] for v in self.order]
+        self.targets = [
+            [ua0 * a0 - req[u][v] for u, ua0 in zip(self.order, self.a0s[:pos])]
+            for pos, (v, a0) in enumerate(zip(self.order, self.a0s))
+        ]
+        # each position's profiles, as (value, count) groups
+        self.profiles = [
+            [_grouped(p) for p in adjunction_profiles(a0, g.eulers[v])]
+            for v, a0 in zip(self.order, self.a0s)
+        ]
+        # the (index, coefficient) items placed at each position, the
+        # root's h first; cols[i] holds the (position, coefficient) pairs
+        # they put on e_i, one column per index in use
+        self.placed: list[list[tuple[int, int]]] = [[]]
+        self.cols: list[list[tuple[int, int]]] = []
 
-    def candidates(
-        self, pos: int, assigned: Sequence[tuple[int, dict[int, int]]], n_used: int
-    ) -> Iterator[tuple[int, dict[int, int], int]]:
-        v = self.order[pos]
-        a0 = 1 if v == self.g.root else self.req[v][self.g.root]
-        wants = [self.req[self.order[upos]][v] for upos in range(len(assigned))]
-        # e-part of the pairing with each earlier class: a0*ua0 - wanted
-        targets = [ua0 * a0 - w for (ua0, _), w in zip(assigned, wants)]
-        orbits, rows = _orbits([co for _, co in assigned], n_used)
-        for profile in self.profiles[pos]:
-            groups = _grouped(profile)
+    def candidates(self, pos: int) -> Iterator[tuple[list[tuple[int, int]], int]]:
+        v, a0, targets = self.order[pos], self.a0s[pos], self.targets[pos]
+        cols = self.cols
+        n_used = len(cols)
+        # the placed classes, as orbits of equal columns: the node's only
+        # pass over them
+        orbits, rows = _orbits(cols)
+        for groups in self.profiles[pos]:
             for items, new_used in _distributions(groups, orbits, rows, targets, n_used):
-                co = dict(items)
-                for (ua0, uco), want in zip(assigned, wants):
-                    small, big = (co, uco) if len(co) <= len(uco) else (uco, co)
-                    got = ua0 * a0 - sum(c * big.get(i, 0) for i, c in small.items())
-                    if got != want:
-                        raise RuntimeError(
-                            f"distribution for vertex {v} pairs to {got}, not {want}"
-                        )
-                yield a0, co, new_used
+                # the e-part of the pairing with every earlier class, read
+                # off the columns of the candidate's own indices (fresh
+                # ones carry nothing), must be targets exactly
+                got = [0] * pos
+                for i, c in items:
+                    for u, x in cols[i] if i < n_used else ():
+                        got[u] += c * x
+                if got != targets:
+                    u = next(u for u in range(pos) if got[u] != targets[u])
+                    ua0 = self.a0s[u] * a0
+                    raise RuntimeError(
+                        f"distribution for vertex {v} pairs to {ua0 - got[u]} with "
+                        f"vertex {self.order[u]}, not {ua0 - targets[u]}"
+                    )
+                yield items, new_used
 
-    def dfs(
-        self,
-        pos: int,
-        assigned: list[tuple[int, dict[int, int]]],
-        n_used: int,
-        leaves: list[Embedding],
-    ) -> None:
+    def dfs(self, pos: int, leaves: list[Embedding]) -> None:
+        placed, cols = self.placed, self.cols
+        n_used = len(cols)
         if pos == self.g.n:
-            by_vertex = [entry for _, entry in sorted(zip(self.order, assigned))]
+            by_vertex = [
+                (self.a0s[p], dict(placed[p]))
+                for _, p in sorted(zip(self.order, range(pos)))
+            ]
             leaves.append(Embedding(self.g, _canonical_classes(by_vertex), n_used))
             return
         # materialised so that no open generator holds its bound tables
         # while the search descends
-        for a0, co, new_used in list(self.candidates(pos, assigned, n_used)):
-            assigned.append((a0, co))
-            self.dfs(pos + 1, assigned, new_used, leaves)
-            assigned.pop()
+        for items, new_used in list(self.candidates(pos)):
+            placed.append(items)
+            cols.extend([] for _ in range(new_used - n_used))
+            for i, c in items:
+                cols[i].append((pos, c))
+            self.dfs(pos + 1, leaves)
+            for i, _ in items:
+                cols[i].pop()
+            del cols[n_used:]
+            placed.pop()
 
 
 def enumerate_embeddings(g: PlumbingGraph) -> tuple[Embedding, ...]:
@@ -632,7 +663,7 @@ def enumerate_embeddings(g: PlumbingGraph) -> tuple[Embedding, ...]:
     if any(not p for p in search.profiles):
         return ()
     leaves: list[Embedding] = []
-    search.dfs(1, [(1, {})], 0, leaves)
+    search.dfs(1, leaves)
     leaves.sort(key=lambda e: (e.n_used, tuple((c.a0, c.coeffs) for c in e.classes)))
     for a, b in zip(leaves, leaves[1:]):
         if a == b:

@@ -320,6 +320,45 @@ def test_pairing_mismatch_from_the_generator_is_an_internal_error(monkeypatch):
         enumerate_embeddings(cap("A_p", p=2))
 
 
+def test_a_unit_on_an_index_a_distant_class_carries_is_an_internal_error(monkeypatch):
+    # the candidate still pays its neighbour, but one more unit lands on
+    # an index that only classes it must not meet carry
+    g = cap("A_p", p=4)
+    order, req = lattice._bfs_order(g), g.intersection_matrix()
+    real = lattice._distributions
+    strays = []
+
+    def stray(groups, orbits, rows, targets, fresh_start):
+        v = order[len(targets)]
+        for items, end in real(groups, orbits, rows, targets, fresh_start):
+            taken = {i for i, _ in items}
+            for members, row in zip(orbits, rows):
+                far = [order[u] for u, _ in row if req[order[u]][v] == 0]
+                free = [i for i in members if i not in taken]
+                if not strays and row and len(far) == len(row) and free:
+                    strays.append((v, far[0]))
+                    items = [*items, (free[0], 1)]
+            yield items, end
+
+    monkeypatch.setattr(lattice, "_distributions", stray)
+    with pytest.raises(RuntimeError, match="pairs to") as err:
+        enumerate_embeddings(g)
+    ((v, w),) = strays
+    assert req[v][w] == 0
+    assert f"for vertex {v} pairs to 1 with vertex {w}, not 0" in str(err.value)
+
+
+def test_the_search_leaves_its_columns_empty():
+    # every class placed on a branch is taken off its columns again, and
+    # the indices it opened are closed
+    search = lattice._Search(cap("E6"))
+    leaves = []
+    search.dfs(1, leaves)
+    assert len(leaves) >= 6
+    assert search.cols == []
+    assert search.placed == [[]]
+
+
 def _numbered(sizes):
     # orbits of these sizes, their members numbered in order from 0
     starts = [sum(sizes[:o]) for o in range(len(sizes))]
@@ -438,7 +477,10 @@ def sparse_classes(draw):
 @settings(max_examples=300, deadline=None)
 def test_orbits_match_the_dense_columns(instance):
     cos, n_used = instance
-    orbits, rows = lattice._orbits(cos, n_used)
+    # each index's column, as the search carries it: the (class, nonzero
+    # coefficient) pairs in class order
+    cols = [[(u, c[i]) for u, c in enumerate(cos) if c.get(i)] for i in range(n_used)]
+    orbits, rows = lattice._orbits(cols)
     assert (orbits, _cols(rows, len(cos))) == _dense_orbits(cos, n_used)
 
 
@@ -686,15 +728,48 @@ def test_vertex_order_does_not_change_embeddings_or_verdicts():
             _invariants_survive_shuffles(g, rng, 3)
 
 
+def test_canonical_labels_do_not_depend_on_the_index_labels():
+    # relabel the exceptional indices of each embedding and shuffle each
+    # class's coefficient order: the canonical relabelling undoes both
+    rng = random.Random(1907)
+    graphs = [cap(kind, p) for kind, p in BENCH_CAPS] + _combo_caps((3, 4, 5))
+    checked = 0
+    for g in graphs:
+        for e in enumerate_embeddings(g):
+            for _ in range(5):
+                perm = list(range(e.n_used))
+                rng.shuffle(perm)
+                by_vertex = []
+                for c in e.classes:
+                    items = [(perm[i], x) for i, x in c.coeffs]
+                    rng.shuffle(items)
+                    by_vertex.append((c.a0, dict(items)))
+                assert lattice._canonical_classes(by_vertex) == e.classes
+                checked += 1
+    assert checked == 340
+
+
 def test_embedding_validation_catches_broken_assignments():
     g = cap("A_p", p=2)
     (e,) = enumerate_embeddings(g)
     broken = list(e.classes)
     broken[1], broken[2] = broken[2], broken[1]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vertex 1 violates adjunction"):
         Embedding(g, tuple(broken), e.n_used)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="root must carry h"):
         Embedding(g, (HClass(2),) + e.classes[1:], e.n_used)
+    # two fibres through the root, which meet nothing else
+    g = PlumbingGraph(
+        (1, 0, 0), ("C", "F1", "F2"), ((0, 1, 1), (0, 2, 1)), (), root=0
+    )
+    Embedding(g, (HClass(1), HClass.make(1, {0: -1}), HClass.make(1, {0: -1})), 1)
+    # fibres on distinct indices: adjunction holds, but they meet once
+    with pytest.raises(ValueError, match="classes at 1,2 miss the graph pairing"):
+        Embedding(g, (HClass(1), HClass.make(1, {0: -1}), HClass.make(1, {1: -1})), 2)
+    # K.F = -2 still, but F.F = -2 where the graph wants 0
+    skew = HClass.make(1, {0: -1, 1: -1, 2: 1})
+    with pytest.raises(ValueError, match="classes at 1,1 miss the graph pairing"):
+        Embedding(g, (HClass(1), skew, HClass.make(1, {0: -1})), 3)
 
 
 def test_dependent_classes_raise_rank_error():
