@@ -462,11 +462,7 @@ def cmd_unicuspidal(args) -> tuple[dict, list[str], Optional[str], int]:
         cusps = unicuspidal_families(args.degree)
         entries = [_unicuspidal_entry(c, args.degree) for c in cusps]
         inputs = {"degree": args.degree}
-    lines: list[str] = []
-    for entry in entries:
-        lines.extend(_unicuspidal_lines(entry))
-    if not lines:
-        lines = [f"no known unicuspidal families at degree {args.degree}"]
+    lines = [line for entry in entries for line in _unicuspidal_lines(entry)]
     results = {"families": entries}
     return _report("unicuspidal", inputs, results), lines, None, 0
 

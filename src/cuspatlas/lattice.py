@@ -18,28 +18,26 @@ indices.  A class is built one placement at a time (some units of one
 coefficient into a prefix of one orbit), and a branch is cut when a
 pairing still owed lies outside the range the coefficients left to
 place can add (each adds between the extremes of the rows it may
-take), or when the L1 norm of what is owed exceeds the most those
-coefficients can move it (the triangle inequality).  The last unit is
-looked up and the last two are joined on the orbits of one owed class,
-as they must pay what is owed exactly.  The orbit prefixes generate
-each assignment once, and a repeat is an internal error.  Complete
-assignments that no positive area form supports are dropped: for the
-degree-zero classes that is exactly a cycle in their dominance graph,
-tested once per assignment, so no linear program runs.  Results are
-relabelled canonically and sorted, so repeated runs agree bit for bit.
-Each result checks itself from its own classes, not from the search's
-columns: adjunction per vertex, and a Gram matrix read index by index
-against the graph's pairings.
+take).  The last unit is looked up and the last two are joined on the
+orbits of one owed class, as they must pay what is owed exactly.  The
+orbit prefixes generate each assignment once, and a repeat is an
+internal error.  Complete assignments that no positive area form
+supports are dropped: for the degree-zero classes that is exactly a
+cycle in their dominance graph, tested once per assignment, so no
+linear program runs.  Results are relabelled canonically and sorted,
+so repeated runs agree bit for bit.  Each result checks itself from
+its own classes, not from the search's columns: adjunction per vertex,
+and a Gram matrix read index by index against the graph's pairings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
-from itertools import accumulate, repeat
+from itertools import accumulate, groupby, repeat
 from math import isqrt
 from operator import floordiv, mod
-from typing import Iterable, Iterator, Literal, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 from .linalg import int_det, int_kernel_basis
 from .plumbing import PlumbingGraph
@@ -48,14 +46,6 @@ ECoeffs = tuple[tuple[int, int], ...]
 # an orbit's (class, nonzero coefficient) pairs, sorted by class
 Row = tuple[tuple[int, int], ...]
 Parity = Literal["even", "odd"]
-
-
-def _normalize(coeffs: Union[Mapping[int, int], Iterable[tuple[int, int]]]) -> ECoeffs:
-    items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-    merged: dict[int, int] = {}
-    for i, c in items:
-        merged[i] = merged.get(i, 0) + c
-    return tuple(sorted((i, c) for i, c in merged.items() if c != 0))
 
 
 @dataclass(frozen=True)
@@ -75,16 +65,9 @@ class HClass:
             prev = i
 
     @classmethod
-    def make(
-        cls, a0: int, coeffs: Union[Mapping[int, int], Iterable[tuple[int, int]]] = ()
-    ) -> "HClass":
-        return cls(a0, _normalize(coeffs))
-
-    def coeff(self, i: int) -> int:
-        for j, c in self.coeffs:
-            if j == i:
-                return c
-        return 0
+    def make(cls, a0: int, coeffs: Mapping[int, int]) -> "HClass":
+        # from an index -> coefficient mapping, zero coefficients dropped
+        return cls(a0, tuple(sorted((i, c) for i, c in coeffs.items() if c)))
 
     def pairing(self, other: "HClass") -> int:
         val = self.a0 * other.a0
@@ -202,7 +185,7 @@ def _gram_matrix(classes: Sequence[HClass]) -> list[list[int]]:
 
 def _gram_of(basis: tuple[HClass, ...]) -> GramForm:
     matrix = tuple(map(tuple, _gram_matrix(basis)))
-    det = int_det([list(row) for row in matrix]) if basis else 1
+    det = int_det(matrix)
     parity: Parity = (
         "even" if all(matrix[i][i] % 2 == 0 for i in range(len(basis))) else "odd"
     )
@@ -283,16 +266,6 @@ def _orbits(
     return list(groups.values()), list(groups)
 
 
-def _grouped(profile: tuple[int, ...]) -> list[tuple[int, int]]:
-    out: list[list[int]] = []
-    for v in profile:
-        if out and out[-1][0] == v:
-            out[-1][1] += 1
-        else:
-            out.append([v, 1])
-    return [(v, c) for v, c in out]
-
-
 def _distributions(
     groups: Sequence[tuple[int, int]],
     orbits: Sequence[Sequence[int]],
@@ -315,23 +288,18 @@ def _distributions(
     The walk recurses once per placement, t > 0 units of one value into
     one orbit, with orbits taken in increasing order; the orbits that
     take nothing are a plain loop, and what is left of a value after the
-    last orbit goes onto fresh indices.  Two cuts compare the need left
-    with what the units still to place can add: the rest of this value
-    in orbit o or later, and the later values anywhere.
-    - Range, per class: sound because each unit adds a coefficient that
-      lies between the extremes of the rows it may take.  A need of 0
-      always lies in the range (fresh indices add 0), so only owed
-      classes are checked.  An orbit missing from a class's own (orbit,
-      coefficient) list carries 0 there, as the fresh indices do, so
-      extremes read from that list are those of the full column; they
-      depend on the rows and groups only, so they are built once, when
-      the class first owes something.  The range only narrows as o
-      grows, so the loop stops at the first orbit that fails.
-    - L1: sound by the triangle inequality, since a unit of val placed
-      in orbit o' moves the need by |val| * ||rows[o']||_1, so the L1
-      norm of the need is at most the sum of the largest such moves.
-      It is tested before a placement into an orbit is entered, so one
-      that cannot close costs no generator frame.
+    last orbit goes onto fresh indices.  The range cut compares, per
+    owed class, the need left with what the units still to place can
+    add: the rest of this value in orbit o or later, and the later
+    values anywhere.  It is sound because each unit adds a coefficient
+    that lies between the extremes of the rows it may take.  A need of
+    0 always lies in the range (fresh indices add 0), so only owed
+    classes are checked.  An orbit missing from a class's own (orbit,
+    coefficient) list carries 0 there, as the fresh indices do, so
+    extremes read from that list are those of the full column; they
+    depend on the rows and groups only, so they are built once, when
+    the class first owes something.  The range only narrows as o grows,
+    so the loop stops at the first orbit that fails.
     The last one or two units are placed without a scan.  Nothing
     follows them, so they must pay the need exactly, and a unit of val
     in orbit o pays val * rows[o]; a fresh index pays nothing.
@@ -361,15 +329,6 @@ def _distributions(
     no, last = len(orbits), len(groups) - 1
     # units[gi]: the units of group gi and the groups after it
     units = [*accumulate((cnt for _, cnt in reversed(groups)), initial=0)][::-1]
-    if units[0] > 2:
-        # the L1 cut only runs in a scan, so only before the last two
-        # units.  l1[o]: the largest row L1 norm over the orbits from o
-        # on, 0 for the fresh indices; later_l1[gi]: what the groups
-        # after gi can move
-        norms = (sum(abs(c) for _, c in row) for row in reversed(rows))
-        l1 = [*accumulate(norms, max, initial=0)][::-1]
-        moves = (cnt * abs(val) * l1[0] for val, cnt in reversed(groups[1:]))
-        later_l1 = [*accumulate(moves, initial=0)][::-1]
     by_class: dict[int, list[tuple[int, int]]] = {}
     orbits_of: dict[Row, list[int]] = {}
     for o, row in enumerate(rows):
@@ -460,10 +419,10 @@ def _distributions(
         return out
 
     def place(
-        gi: int, oi: int, left: int, fresh_at: int, norm: int
+        gi: int, oi: int, left: int, fresh_at: int
     ) -> Iterator[tuple[list[tuple[int, int]], int]]:
         # the last `left` units of group gi go into orbits oi.. or onto
-        # fresh indices; norm is the L1 norm of need
+        # fresh indices
         if not left:
             gi, oi = gi + 1, 0
             if gi > last:
@@ -484,40 +443,36 @@ def _distributions(
                     yield [*acc, (i, val)], fresh_at + (o == no)
             return
         live = [(r, (tables.get(u) or table(u))[gi]) for u, r in need.items()]
-        n, size = left * val, abs(val)
+        n = left * val
         for o in range(oi, no + 1):
             for r, (small, large, flo, fhi) in live:
                 if r < n * small[o] + flo or r > n * large[o] + fhi:
                     return
             if o == no:
                 acc.extend((fresh_at + j, val) for j in range(left))
-                yield from place(gi, no, 0, fresh_at + left, norm)
+                yield from place(gi, no, 0, fresh_at + left)
                 del acc[-left:]
                 return
             members, row = orbits[o], rows[o]
             base = taken[o]
             for t in range(min(left, len(members) - base), 0, -1):
-                step, moved = val * t, norm
+                step = val * t
                 for u, c in row:
-                    r = need.pop(u, 0)
-                    s = r - step * c
+                    s = need.pop(u, 0) - step * c
                     if s:
                         need[u] = s
-                    moved += abs(s) - abs(r)
-                # the L1 cut, before the placement is entered
-                if moved - later_l1[gi] <= (left - t) * size * l1[o + 1]:
-                    acc.extend((i, val) for i in members[base:base + t])
-                    taken[o] = base + t
-                    yield from place(gi, o + 1, left - t, fresh_at, moved)
-                    taken[o] = base
-                    del acc[-t:]
+                acc.extend((i, val) for i in members[base:base + t])
+                taken[o] = base + t
+                yield from place(gi, o + 1, left - t, fresh_at)
+                taken[o] = base
+                del acc[-t:]
                 for u, c in row:
                     s = need.pop(u, 0) + step * c
                     if s:
                         need[u] = s
 
     # group -1 has no units left, so the walk opens on group 0
-    yield from place(-1, 0, 0, fresh_start, sum(map(abs, need.values())))
+    yield from place(-1, 0, 0, fresh_start)
 
 
 def _canonical_classes(
@@ -587,7 +542,10 @@ class _Search:
         ]
         # each position's profiles, as (value, count) groups
         self.profiles = [
-            [_grouped(p) for p in adjunction_profiles(a0, g.eulers[v])]
+            [
+                [(val, len([*run])) for val, run in groupby(p)]
+                for p in adjunction_profiles(a0, g.eulers[v])
+            ]
             for v, a0 in zip(self.order, self.a0s)
         ]
         # the (index, coefficient) items placed at each position, the
@@ -696,7 +654,8 @@ def _orthogonal_form(emb: Embedding, drop_root: bool) -> GramForm:
     for v, c in enumerate(emb.classes):
         if drop_root and v == emb.graph.root:
             continue
-        rows.append([c.a0] + [-c.coeff(i) for i in range(n)])
+        co = dict(c.coeffs)
+        rows.append([c.a0] + [-co.get(i, 0) for i in range(n)])
     kernel = int_kernel_basis(rows, 1 + n)
     if len(kernel) != 1 + n - len(rows):
         raise ValueError("configuration classes are rationally dependent")

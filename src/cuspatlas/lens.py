@@ -18,7 +18,7 @@ prod(n) <= 2^20.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import List, Optional, Tuple
 
 from .cf import (
@@ -135,9 +135,7 @@ def to_dict(L: LensSpace) -> dict:
     n = bounds(L)
     wahl = wahl_family(L)
     ball = _ball_string(n, wahl)
-    space = 1
-    for a in n:
-        space *= a
+    space = prod(n)
     out = {
         "p": L.p,
         "q": L.q,

@@ -120,8 +120,6 @@ def sextic_simple_verdict(combo: CuspCombo) -> ObstructionVerdict:
             "SexticSimple", "Pass", "inapplicable: non-simple cusp present"
         )
     mu = combo.total_milnor
-    if mu <= 19:
-        return ObstructionVerdict("SexticSimple", "Pass")
     return ObstructionVerdict(
         "SexticSimple",
         "Fail",

@@ -321,6 +321,17 @@ def test_usage_errors_exit_1():
     assert run("cap", "A")[0] == 1
     assert run("resolve", "2,4")[0] == 1
     assert run("embed", "2,3", "extra")[0] == 1
+    # argparse's own errors keep the contract: exit 1, nothing on stdout
+    for argv in (
+        ["classify"],
+        ["classify", "--degree", "x"],
+        ["lens", "5"],
+        ["nosuch"],
+        ["lens", "25", "4", "--bogus"],
+    ):
+        code, out, err = run(*argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("atlas: error: "), argv
 
 
 def test_internal_error_exits_3(monkeypatch):

@@ -368,7 +368,8 @@ def _numbered(sizes):
 @st.composite
 def distribution_instances(draw):
     # the caps only reach coefficients +-1; values and columns up to 2 in
-    # size put the range and L1 cuts and the early orbit exit to the test
+    # size put the range cut, the early orbit exit and the exact close and
+    # join of the last units to the test
     values = draw(st.lists(st.sampled_from((2, 1, -1, -2)), unique=True, max_size=4))
     groups = [(v, draw(st.integers(1, 3))) for v in sorted(values, reverse=True)]
     sizes = draw(st.lists(st.integers(1, 3), max_size=4))

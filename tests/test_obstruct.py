@@ -2,22 +2,26 @@
 
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cuspatlas.blowdown import OBSTRUCTED
+from cuspatlas.blowdown import OBSTRUCTED, UNIQUE, UNKNOWN
 from cuspatlas.cusp import CuspCombo, CuspType, enumerate_combos, semigroup_condition
 from cuspatlas.obstruct import (
+    _final_status,
     classify_degree,
     is_simple_cusp,
     rh_instances,
     riemann_hurwitz_verdict,
+    run_cap,
     run_pipeline,
     semigroup_verdict,
     sextic_simple_verdict,
 )
+from cuspatlas.plumbing import family_cap
 
 
 def combo(degree, *pqs):
@@ -248,6 +252,33 @@ def test_degree_six_torus_cusps_classify():
     rec = pipeline(combo(6, (3, 11)))
     assert rec.final_status == "UniqueInPlane"
     assert rec.to_dict()["ambients"] == ["CP2", "S2xS2"]
+
+
+def test_an_unmatched_plane_image_leaves_the_status_unknown():
+    # E6's one k = 0 image matches no catalog pattern, so the plane is
+    # unsettled although every gate passes
+    rec = pipeline(combo(16, (6, 43)))
+    assert not any(v.failed for v in rec.verdicts)
+    plane = [ent for e, ent in zip(rec.cap.embeddings, rec.cap.entries) if e.k == 0]
+    assert [(ent.status, ent.pattern) for ent in plane] == [(UNKNOWN, "unmatched")]
+    assert rec.final_status == "Unknown"
+
+
+def test_two_unique_images_at_the_least_k_leave_the_status_unknown():
+    cap = run_cap(family_cap("B_p", 2))
+    assert [e.k for e in cap.embeddings] == [0, 1, 1]
+    assert _final_status(cap.verdicts, cap) == "UniqueInPlane"
+    # without its plane embedding the cap has two unique images at k = 1,
+    # and two isotopy classes there are not a unique one
+    kept = [i for i, e in enumerate(cap.embeddings) if e.k]
+    blowups = replace(
+        cap,
+        embeddings=[cap.embeddings[i] for i in kept],
+        fingerprints=[cap.fingerprints[i] for i in kept],
+        entries=[cap.entries[i] for i in kept],
+    )
+    assert [ent.status for ent in blowups.entries] == [UNIQUE, UNIQUE]
+    assert _final_status(cap.verdicts, blowups) == "Unknown"
 
 
 def test_no_recipe_reported_not_fatal():
