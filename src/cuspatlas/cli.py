@@ -317,7 +317,8 @@ def cmd_embed(args) -> tuple[dict, list[str], Optional[str], int]:
     recipe, combo = _parse_cap(args.spec)
     embs = run_cap(recipe).embeddings
     dicts = []
-    lines = [f"cap {recipe.kind}: {len(embs)} embeddings"]
+    n = len(embs)
+    lines = [f"cap {recipe.kind}: {n} embedding{'s' if n != 1 else ''}"]
     for e in embs:
         amb, form = ambient(e), complement_form(e)
         dicts.append({**e.to_dict(), "ambient": amb, "complement": form.to_dict()})
@@ -335,7 +336,8 @@ def cmd_blowdown(args) -> tuple[dict, list[str], Optional[str], int]:
     recipe, combo = _parse_cap(args.spec)
     cap = run_cap(recipe)
     entries = []
-    lines = [f"cap {recipe.kind}: {len(cap.embeddings)} embeddings"]
+    n = len(cap.embeddings)
+    lines = [f"cap {recipe.kind}: {n} embedding{'s' if n != 1 else ''}"]
     for e, trace, entry in zip(cap.embeddings, cap.fingerprints, cap.entries):
         entries.append({"k": e.k, "ambient": ambient(e), **image_dict(trace, entry)})
         lines.append(f"  k={e.k} {trace.summary()}")
@@ -544,10 +546,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             text = dot
         else:
             text = "\n".join(lines) + "\n"
-    except UsageError as exc:
-        print(f"atlas: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"atlas: error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

@@ -3,31 +3,35 @@
 A rooted plumbing records a configuration of rational curves; this
 module answers the homological question of how that configuration can
 sit inside a blow-up of the plane.  Classes live in the odd unimodular
-lattice <h, e_0, e_1, ...> with h.h = +1 and e_i.e_i = -1.  A sphere of
-self-intersection s must satisfy the adjunction equality, which leaves
-only finitely many coefficient multisets (profiles); the search assigns
-classes vertex by vertex in breadth-first order from the root (which is
-always sent to h) and breaks the permutation symmetry of exceptional
-indices by orbit prefixes.  It generates only classes with the required
-pairings against the classes already placed.  The search carries each
-index's column, the (position, coefficient) pairs the placed classes
-put on it, appending as it places a class and popping as it backs off;
-a node only groups equal columns into orbits, each read as that sparse
-row, and rechecks a candidate's pairings from the columns of its own
-indices.  A class is built one placement at a time (some units of one
-coefficient into a prefix of one orbit), and a branch is cut when a
-pairing still owed lies outside the range the coefficients left to
-place can add (each adds between the extremes of the rows it may
-take).  The last unit is looked up and the last two are joined on the
-orbits of one owed class, as they must pay what is owed exactly.  The
-orbit prefixes generate each assignment once, and a repeat is an
-internal error.  Complete assignments that no positive area form
-supports are dropped: for the degree-zero classes that is exactly a
-cycle in their dominance graph, tested once per assignment, so no
-linear program runs.  Results are relabelled canonically and sorted,
-so repeated runs agree bit for bit.  Each result checks itself from
-its own classes, not from the search's columns: adjunction per vertex,
-and a Gram matrix read index by index against the graph's pairings.
+lattice <h, e_0, e_1, ...> with h.h = +1 and e_i.e_i = -1.  A sphere
+of self-intersection s must satisfy the adjunction equality, which
+leaves only finitely many coefficient multisets (profiles); the search
+assigns classes vertex by vertex in breadth-first order from the root
+(which is always sent to h) and breaks the permutation symmetry of
+exceptional indices by orbit prefixes.  It generates only classes with
+the required pairings against the classes already placed.  The
+search's only record of its assignment is each index's column, the
+(position, coefficient) pairs the placed classes put on it, pushed as
+it places a class and popped as it backs off; a node only groups equal
+columns into orbits, each read as that sparse row, and rechecks a
+candidate's pairings from the columns of its own indices.  A class is
+built one placement at a time (some units of one coefficient into a
+prefix of one orbit), and a branch is cut when a pairing still owed
+lies outside the range the coefficients left to place can add (each
+adds between the extremes of the rows it may take).  The last unit is
+looked up and the last two are joined on the orbits of one owed class,
+as they must pay what is owed exactly.  The orbit prefixes generate
+each assignment once, and a repeat is an internal error.  Complete
+assignments that no positive area form supports are dropped: for the
+degree-zero classes that is exactly a cycle in their dominance graph,
+tested once per assignment, so no linear program runs.  A leaf
+relabels its indices canonically from the columns, and the results are
+sorted, so repeated runs agree bit for bit.  Each result checks itself
+from its own classes, not from the search's columns: adjunction per
+vertex, and a Gram matrix read index by index against the graph's
+pairings.  The Gram check is also what refuses a +1 on one index in
+two classes: only degree-zero classes carry a +1, two that share it
+pair to at most -1, and a cap's graph asks 0 or more.
 """
 
 from __future__ import annotations
@@ -96,11 +100,6 @@ class HClass:
             return "0"
         out = "".join(parts)
         return out[1:] if out.startswith("+") else out
-
-
-def canonical_class(n: int) -> HClass:
-    """-3h + e_0 + ... + e_{n-1}, so K.A = -3*a0 - sum of coefficients."""
-    return HClass(-3, tuple((i, 1) for i in range(n)))
 
 
 def adjunction_profiles(a0: int, s: int) -> list[tuple[int, ...]]:
@@ -211,11 +210,11 @@ class Embedding:
         used = {i for c in self.classes for i, _ in c.coeffs}
         if used != set(range(self.n_used)):
             raise ValueError("exceptional indices must be 0..n_used-1")
-        kanon = canonical_class(self.n_used)
         req = g.intersection_matrix()
         gram = _gram_matrix(self.classes)
         for u, cu in enumerate(self.classes):
-            if kanon.pairing(cu) != -2 - g.eulers[u]:
+            # K = -3h + e_0 + ... + e_{n-1} pairs with a sphere to -2 - s
+            if -3 * cu.a0 - sum(c for _, c in cu.coeffs) != -2 - g.eulers[u]:
                 raise ValueError(f"vertex {u} violates adjunction")
             if gram[u][u:] != req[u][u:]:
                 v = next(v for v in range(u, g.n) if gram[u][v] != req[u][v])
@@ -476,26 +475,24 @@ def _distributions(
 
 
 def _canonical_classes(
-    by_vertex: Sequence[tuple[int, Mapping[int, int]]]
+    a0s: Sequence[int], cols: Sequence[Sequence[int]]
 ) -> tuple[HClass, ...]:
-    # relabel indices by first use scanning vertices in order; inside one
+    # cols[i][v] is e_i's coefficient in vertex v's class.  Indices are
+    # relabelled by first use scanning vertices in order; inside one
     # class larger coefficients come first, and same-coefficient ties go
     # to the index whose later history (its column past this vertex)
-    # compares smaller
-    nv = len(by_vertex)
-    cols: dict[int, list[int]] = {}
-    for v, (_, co) in enumerate(by_vertex):
-        for i, c in co.items():
-            cols.setdefault(i, [0] * nv)[v] = c
-    mapping: dict[int, int] = {}
-    for v, (_, co) in enumerate(by_vertex):
-        fresh = [i for i in co if i not in mapping]
-        for i in sorted(fresh, key=lambda i: (-co[i], cols[i][v + 1:])):
-            mapping[i] = len(mapping)
-    return tuple(
-        HClass(a0, tuple(sorted((mapping[i], c) for i, c in co.items())))
-        for a0, co in by_vertex
-    )
+    # compares smaller.  Indices that tie on all three carry equal
+    # columns, so their order changes nothing
+    def first_use(col: Sequence[int]) -> tuple:
+        v = next(v for v, c in enumerate(col) if c)
+        return v, -col[v], col[v + 1:]
+
+    coeffs: list[list[tuple[int, int]]] = [[] for _ in a0s]
+    for i, col in enumerate(sorted(cols, key=first_use)):
+        for v, c in enumerate(col):
+            if c:
+                coeffs[v].append((i, c))
+    return tuple(HClass(a0, tuple(co)) for a0, co in zip(a0s, coeffs))
 
 
 def _area_positive(zero_rows: Iterable[Mapping[int, int]]) -> bool:
@@ -548,10 +545,9 @@ class _Search:
             ]
             for v, a0 in zip(self.order, self.a0s)
         ]
-        # the (index, coefficient) items placed at each position, the
-        # root's h first; cols[i] holds the (position, coefficient) pairs
-        # they put on e_i, one column per index in use
-        self.placed: list[list[tuple[int, int]]] = [[]]
+        # the search's only record of its assignment: cols[i] holds the
+        # (position, coefficient) pairs the placed classes put on e_i, one
+        # column per index in use (the root's h puts none)
         self.cols: list[list[tuple[int, int]]] = []
 
     def candidates(self, pos: int) -> Iterator[tuple[list[tuple[int, int]], int]]:
@@ -580,19 +576,21 @@ class _Search:
                 yield items, new_used
 
     def dfs(self, pos: int, leaves: list[Embedding]) -> None:
-        placed, cols = self.placed, self.cols
+        cols = self.cols
         n_used = len(cols)
         if pos == self.g.n:
-            by_vertex = [
-                (self.a0s[p], dict(placed[p]))
-                for _, p in sorted(zip(self.order, range(pos)))
-            ]
-            leaves.append(Embedding(self.g, _canonical_classes(by_vertex), n_used))
+            # the leaf reads its classes off the columns, made dense and
+            # indexed by vertex
+            order, dense = self.order, [[0] * pos for _ in cols]
+            for col, out in zip(cols, dense):
+                for p, c in col:
+                    out[order[p]] = c
+            a0s = [a0 for _, a0 in sorted(zip(order, self.a0s))]
+            leaves.append(Embedding(self.g, _canonical_classes(a0s, dense), n_used))
             return
         # materialised so that no open generator holds its bound tables
         # while the search descends
         for items, new_used in list(self.candidates(pos)):
-            placed.append(items)
             cols.extend([] for _ in range(new_used - n_used))
             for i, c in items:
                 cols[i].append((pos, c))
@@ -600,7 +598,6 @@ class _Search:
             for i, _ in items:
                 cols[i].pop()
             del cols[n_used:]
-            placed.pop()
 
 
 def enumerate_embeddings(g: PlumbingGraph) -> tuple[Embedding, ...]:
@@ -626,26 +623,10 @@ def enumerate_embeddings(g: PlumbingGraph) -> tuple[Embedding, ...]:
     for a, b in zip(leaves, leaves[1:]):
         if a == b:
             raise RuntimeError(f"the search yields one embedding twice: {a.to_dict()}")
-    embeddings = tuple(
+    return tuple(
         e for e in leaves
         if _area_positive(dict(c.coeffs) for c in e.classes if c.a0 == 0)
     )
-    for emb in embeddings:
-        _assert_positive_scan(emb)
-    return embeddings
-
-
-def _assert_positive_scan(emb: Embedding) -> None:
-    # no exceptional index may carry +1 in two distinct classes: the
-    # corresponding spheres would intersect the same exceptional sphere
-    # negatively, which the pairing constraints already forbid
-    seen: set[int] = set()
-    for c in emb.classes:
-        for i, v in c.coeffs:
-            if v == 1:
-                if i in seen:
-                    raise RuntimeError(f"index {i} is positive twice")
-                seen.add(i)
 
 
 def _orthogonal_form(emb: Embedding, drop_root: bool) -> GramForm:

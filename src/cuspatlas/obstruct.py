@@ -241,11 +241,19 @@ def cap_verdicts(
 
 def run_cap(recipe: CapRecipe) -> CapRun:
     """Build the cap, enumerate its embeddings, blow each one down, look
-    each image up in the catalog and read the cap's verdicts."""
-    graph = build_cap(recipe)
-    embeddings = enumerate_embeddings(graph)
-    fingerprints = [blow_down_trace(e) for e in embeddings]
-    entries = [catalog_lookup(f) for f in fingerprints]
+    each image up in the catalog and read the cap's verdicts.
+
+    Every stage checks what it builds, and the recipes are stock ones,
+    so a ValueError from a stage (a cap off +1, an embedding or an image
+    that fails its own check) is a broken invariant: it is raised again
+    as a RuntimeError that names the cap."""
+    try:
+        graph = build_cap(recipe)
+        embeddings = enumerate_embeddings(graph)
+        fingerprints = [blow_down_trace(e) for e in embeddings]
+        entries = [catalog_lookup(f) for f in fingerprints]
+    except ValueError as exc:
+        raise RuntimeError(f"cap {recipe.kind} for {recipe.combo}: {exc}") from exc
     verdicts = cap_verdicts(recipe, graph, entries)
     return CapRun(recipe, graph, embeddings, fingerprints, entries, verdicts)
 

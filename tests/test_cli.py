@@ -8,12 +8,13 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from cuspatlas import cli
+from cuspatlas import cli, lattice, obstruct
 from cuspatlas.cli import main
 from cuspatlas.cusp import enumerate_combos, semigroup_condition
 from cuspatlas.lattice import HClass, enumerate_embeddings
@@ -156,6 +157,13 @@ def test_embed_counts_and_dets():
         if e["ambient"] == "CP2#6"
     ]
     assert sorted(dets) == [64, 256]
+
+
+def test_embedding_counts_read_in_the_singular_for_one():
+    for cmd in ("embed", "blowdown"):
+        assert run(cmd, "A", "2")[1].startswith("cap A_p: 1 embedding\n")
+        assert run(cmd, "B", "2")[1].startswith("cap B_p: 3 embeddings\n")
+        assert run(cmd, "3,7")[1].startswith("cap QuinticMin: 0 embeddings\n")
 
 
 def test_embed_without_solutions_exits_2():
@@ -345,6 +353,32 @@ def test_internal_error_exits_3(monkeypatch):
     assert err == "atlas: internal error: blow-down deadlock: every index is held up\n"
 
 
+def test_a_stage_failing_its_own_check_exits_3(monkeypatch):
+    # a leaf or an image that refuses itself is the engine's fault, not
+    # the caller's: exit 3 with the cap named, not the usage error's 1
+    real_classes, real_trace = lattice._canonical_classes, obstruct.blow_down_trace
+
+    def swapped(*args):
+        classes = list(real_classes(*args))
+        classes[1], classes[2] = classes[2], classes[1]
+        return tuple(classes)
+
+    def bumped(emb):
+        image = real_trace(emb)
+        return replace(image, degrees=(image.degrees[0] + 1, *image.degrees[1:]))
+
+    for module, name, fault, argv, why in (
+        (lattice, "_canonical_classes", swapped, ("embed", "A", "3"), "adjunction"),
+        (obstruct, "blow_down_trace", bumped, ("blowdown", "A", "3"), "meet"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, fault)
+            code, out, err = run(*argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("atlas: internal error: cap A_p for "), argv
+        assert why in err, argv
+
+
 def _python(*args):
     """(exit status, stdout, stderr) of a fresh interpreter run on args."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
@@ -393,7 +427,7 @@ def counted(self, *args, **kwargs):
     built.append(kwargs.get("prog"))
     init(self, *args, **kwargs)
 argparse.ArgumentParser.__init__ = counted
-from cuspatlas import cli
+from cuspatlas import cli, lattice, obstruct
 for argv in {argvs!r}:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         cli.main(list(argv))

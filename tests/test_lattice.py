@@ -18,7 +18,6 @@ from cuspatlas.lattice import (
     adjunction_profiles,
     ambient,
     ambient_form,
-    canonical_class,
     complement_form,
     enumerate_embeddings,
 )
@@ -48,15 +47,6 @@ def test_pairing_signature():
     line = HClass.make(1, {0: -1, 1: -1})
     assert line.square == -1
     assert line.pairing(h) == 1
-
-
-def test_canonical_class_adjunction_constants():
-    k = canonical_class(7)
-    assert k.pairing(HClass(1)) == -3
-    assert k.square == 9 - 7
-    # a sphere of square s pairs with K to -2-s
-    conic = HClass.make(2, {i: -1 for i in range(5)})
-    assert k.pairing(conic) == -2 - conic.square
 
 
 def test_class_str():
@@ -356,7 +346,6 @@ def test_the_search_leaves_its_columns_empty():
     search.dfs(1, leaves)
     assert len(leaves) >= 6
     assert search.cols == []
-    assert search.placed == [[]]
 
 
 def _numbered(sizes):
@@ -729,23 +718,81 @@ def test_vertex_order_does_not_change_embeddings_or_verdicts():
             _invariants_survive_shuffles(g, rng, 3)
 
 
+def _automorphisms(g):
+    """The vertex permutations other than the identity that fix the root
+    and keep every weight, edge order and corner, as lists v -> image."""
+    m, corners = g.intersection_matrix(), set(g.corners)
+    rest = [v for v in range(g.n) if v != g.root]
+    img = {g.root: g.root}
+    out = []
+
+    def extend(k):
+        if k == len(rest):
+            moved = {tuple(sorted(img[x] for x in tri)) for tri in corners}
+            if moved == corners and any(img[v] != v for v in rest):
+                out.append([img[v] for v in range(g.n)])
+            return
+        v = rest[k]
+        for w in set(range(g.n)) - set(img.values()):
+            if m[w][w] == m[v][v] and all(m[v][u] == m[w][x] for u, x in img.items()):
+                img[v] = w
+                extend(k + 1)
+                del img[v]
+
+    extend(0)
+    return out
+
+
+def _up_to_index_labels(classes):
+    # an assignment with its exceptional indices forgotten: the degrees,
+    # and each index's column of coefficients over the vertices, sorted
+    cols = {}
+    for v, c in enumerate(classes):
+        for i, x in c.coeffs:
+            cols.setdefault(i, [0] * len(classes))[v] = x
+    return tuple(c.a0 for c in classes), tuple(sorted(map(tuple, cols.values())))
+
+
+def test_automorphic_images_of_embeddings_are_already_listed():
+    # a root-fixing automorphism of the cap carries each embedding to
+    # another assignment of the same cap, which the search must list
+    # once, up to the labels of the exceptional indices
+    caps, found = [], 0
+    for d in (4, 5, 6):
+        symmetric = [(g, autos) for g in plus_one_caps(d) if (autos := _automorphisms(g))]
+        caps.append(len(symmetric))
+        for g, autos in symmetric:
+            embs = enumerate_embeddings(g)
+            listed = {_up_to_index_labels(e.classes) for e in embs}
+            assert len(listed) == len(embs)
+            for e in embs:
+                for img in autos:
+                    moved = [None] * g.n
+                    for v, c in enumerate(e.classes):
+                        moved[img[v]] = c
+                    Embedding(g, tuple(moved), e.n_used)
+                    assert _up_to_index_labels(moved) in listed
+            found += len(embs)
+    assert (caps, found) == ([2, 16, 51], 114)
+
+
 def test_canonical_labels_do_not_depend_on_the_index_labels():
-    # relabel the exceptional indices of each embedding and shuffle each
-    # class's coefficient order: the canonical relabelling undoes both
+    # relabel the exceptional indices of each embedding, which shuffles
+    # its columns: the canonical relabelling undoes it
     rng = random.Random(1907)
     graphs = [cap(kind, p) for kind, p in BENCH_CAPS] + _combo_caps((3, 4, 5))
     checked = 0
     for g in graphs:
         for e in enumerate_embeddings(g):
+            a0s = [c.a0 for c in e.classes]
             for _ in range(5):
                 perm = list(range(e.n_used))
                 rng.shuffle(perm)
-                by_vertex = []
-                for c in e.classes:
-                    items = [(perm[i], x) for i, x in c.coeffs]
-                    rng.shuffle(items)
-                    by_vertex.append((c.a0, dict(items)))
-                assert lattice._canonical_classes(by_vertex) == e.classes
+                cols = [[0] * g.n for _ in perm]
+                for v, c in enumerate(e.classes):
+                    for i, x in c.coeffs:
+                        cols[perm[i]][v] = x
+                assert lattice._canonical_classes(a0s, cols) == e.classes
                 checked += 1
     assert checked == 340
 
@@ -771,6 +818,13 @@ def test_embedding_validation_catches_broken_assignments():
     skew = HClass.make(1, {0: -1, 1: -1, 2: 1})
     with pytest.raises(ValueError, match="classes at 1,1 miss the graph pairing"):
         Embedding(g, (HClass(1), skew, HClass.make(1, {0: -1})), 3)
+    # two disjoint (-2)-spheres beside the root: degree-zero classes keep
+    # adjunction, but two that share their +1 pair to -1, not 0
+    g = PlumbingGraph((1, -2, -2), ("C", "Z1", "Z2"), (), (), root=0)
+    z1 = HClass.make(0, {0: 1, 1: -1})
+    Embedding(g, (HClass(1), z1, HClass.make(0, {2: 1, 3: -1})), 4)
+    with pytest.raises(ValueError, match="classes at 1,2 miss the graph pairing"):
+        Embedding(g, (HClass(1), z1, HClass.make(0, {0: 1, 2: -1})), 3)
 
 
 def test_dependent_classes_raise_rank_error():
