@@ -39,7 +39,13 @@ from .lattice import Embedding, HClass, ambient, complement_form
 from .lens import LensSpace, fibonacci_boundary, rational_ball_string
 from .lens import to_dict as lens_report
 from .lens import wahl_family
-from .obstruct import arithmetic_verdicts, classify_degree, image_dict, run_cap
+from .obstruct import (
+    arithmetic_verdicts,
+    cap_faults,
+    classify_degree,
+    image_dict,
+    run_cap,
+)
 from .plumbing import (
     CapRecipe,
     PlumbingGraph,
@@ -320,7 +326,8 @@ def cmd_embed(args) -> tuple[dict, list[str], Optional[str], int]:
     n = len(embs)
     lines = [f"cap {recipe.kind}: {n} embedding{'s' if n != 1 else ''}"]
     for e in embs:
-        amb, form = ambient(e), complement_form(e)
+        with cap_faults(recipe):
+            amb, form = ambient(e), complement_form(e)
         dicts.append({**e.to_dict(), "ambient": amb, "complement": form.to_dict()})
         lines.append(
             f"  k={e.k} ambient {amb}, complement rank {form.rank} "
@@ -339,7 +346,9 @@ def cmd_blowdown(args) -> tuple[dict, list[str], Optional[str], int]:
     n = len(cap.embeddings)
     lines = [f"cap {recipe.kind}: {n} embedding{'s' if n != 1 else ''}"]
     for e, trace, entry in zip(cap.embeddings, cap.fingerprints, cap.entries):
-        entries.append({"k": e.k, "ambient": ambient(e), **image_dict(trace, entry)})
+        with cap_faults(recipe):
+            amb = ambient(e)
+        entries.append({"k": e.k, "ambient": amb, **image_dict(trace, entry)})
         lines.append(f"  k={e.k} {trace.summary()}")
         lines.append(f"    {entry.pattern}: {entry.status} ({entry.reason})")
     inputs = {"spec": list(args.spec)}
@@ -396,8 +405,9 @@ def _unicuspidal_entry(cusp: CuspType, degree: int) -> dict:
         embs = run_cap(recipe).embeddings
         entry["count"] = len(embs)
         entry["ks"] = [e.k for e in embs]
-        entry["ambients"] = [ambient(e) for e in embs]
-        forms = [complement_form(e) for e in embs]
+        with cap_faults(recipe):
+            entry["ambients"] = [ambient(e) for e in embs]
+            forms = [complement_form(e) for e in embs]
         entry["complement_dets"] = [form.det for form in forms]
         entry["complement_parities"] = [form.parity for form in forms]
         if recipe.kind == "B_p":

@@ -10,8 +10,8 @@ The counting function R(n) = #(<p,q> in [0, n)) is n - G(n), where the
 gap count G(n) = #(gaps of <p,q> in [0, n)) is nondecreasing and equals
 delta from the conductor c = (p-1)(q-1) on.  So the min-convolution of
 the R's of a combo is n minus the max-plus convolution H of the G's: a
-table of length sum(c) + 1 = (d-1)(d-2) + 1 at degree d, past whose end
-R(n) = n - genus.
+table that reaches the genus at sum(c) = (d-1)(d-2) at degree d and is
+held there, so R(n) = n - genus past it.
 
 The gate never builds H for a whole combo.  It folds the table of all
 cusps but the last and reads the last cusp only at the d gate points:
@@ -21,7 +21,12 @@ the rises of G_last (k = g + 1 for each gap g) need reading.  The
 enumerator (gated_combos) walks the combos as a tree of prefixes: each
 prefix folds its table from its parent's once, only when some cusp
 still fits, and its leaves share it.  semigroup_condition is the same
-reading for one combo.
+fold and the same reading for one combo.
+
+A table is one Python int with a guarded field per n up to (d-1)^2,
+the last gate point (_lanes).  Folding in one rise of a gap count
+(_max_plus, which says why no field overflows) is a few whole-table
+integer operations, not a pass over a list.
 
 The named unicuspidal families are written here once: the A_p, B_p, E3
 and E6 curves in one table (family_combo, and family_of its inverse),
@@ -32,11 +37,10 @@ which plumbing.family_cap resolves into caps, and the Fibonacci cusps
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import accumulate
 from math import gcd
 from operator import attrgetter
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .cf import fib
 
@@ -144,47 +148,97 @@ def ms_recognize(seq: MultSeq) -> Optional[CuspType]:
     return CuspType(p, q)
 
 
-def _max_plus(head: list[int], rises: GapRises) -> list[int]:
-    """max_k head(n - k) + G(k) for n = 0 .. len(head) - 1 + c, where G
-    is a gap count with these rises (the last at k = c) and head is held
-    at its last value past its end.  For fixed n the head term does not
-    grow with k, so on each run of constant G only its first k counts:
-    k = 0 and each rise."""
-    c = rises[-1][0]
-    out = head + [head[-1]] * c
-    for k, i in rises:
-        shifted = [h + i for h in head] + [head[-1] + i] * (c - k)
-        out[k:] = map(max, out[k:], shifted)
+class _Lanes(NamedTuple):
+    """How a degree packs its gap tables into one int: field n (n = 0 ..
+    (d-1)^2, the last gate point) holds H(n) in width bits, the top one a
+    guard bit, with field 0 highest, so moving a table k fields towards
+    larger n is a right shift that drops what falls past the end."""
+
+    width: int
+    top: int  # the bit offset of field 0
+    ones: int  # 1 in every field
+    guards: int  # the guard bit of every field
+    value: int  # the value bits of one field
+
+
+def _lanes(degree: int) -> _Lanes:
+    """The packing of this degree's tables: genus.bit_length() value bits
+    and a guard bit per field (see _max_plus for why values fit)."""
+    genus = (degree - 1) * (degree - 2) // 2
+    width = genus.bit_length() + 1
+    fields = (degree - 1) ** 2 + 1
+    ones = ((1 << fields * width) - 1) // ((1 << width) - 1)
+    value = (1 << width - 1) - 1
+    return _Lanes(width, (fields - 1) * width, ones, ones << width - 1, value)
+
+
+def _shifts(c: CuspType, lanes: _Lanes) -> list[int]:
+    """k * width at each rise k of the gap count, whose i-th rise takes
+    it to i."""
+    return [k * lanes.width for k, _ in c.gap_rises()]
+
+
+def _max_plus(head: int, shifts: list[int], lanes: _Lanes) -> int:
+    """The packed table of max_k head(n - k) + G(k), where G is a gap
+    count with these rise shifts, for a packed prefix table head.
+
+    For fixed n the head term does not grow with k, so on each run of
+    constant G only its first k counts: k = 0 and each rise.  The i-th
+    rise adds i to every field of head, moves the result k fields on and
+    takes the field-wise max with the guard-bit compare: (out | guards)
+    - t keeps a field's guard bit exactly where out >= t there, and no
+    field borrows from the next, since no value reaches its guard bit.
+    No field overflows either: head's values never exceed its cusps' sum
+    of delta, and every sum head(n - k) + i stays at or below the sum of
+    delta with this cusp folded in, which never exceeds the genus.  The
+    shift drops only fields past (d-1)^2, which no gate point reads, and
+    every field is exact: a table reaches its sum of delta by its sum of
+    conductors, at most (d-1)(d-2), and holds it from there on."""
+    ones, guards = lanes.ones, lanes.guards
+    low = lanes.width - 1
+    out = plus = head
+    for s in shifts:
+        plus += ones
+        t = plus >> s
+        m = ((out | guards) - t) & guards
+        out = t ^ ((out ^ t) & (m - (m >> low)))
     return out
 
 
-def gap_table(cusps: Sequence[CuspType]) -> list[int]:
-    """H(0 .. sum c), the max-plus convolution of the cusps' gap counts;
-    [0] for no cusps."""
-    return reduce(_max_plus, (c.gap_rises() for c in cusps), [0])
+def _gap_table(cusps: Sequence[CuspType], lanes: _Lanes) -> int:
+    """The packed max-plus convolution of the cusps' gap counts; 0 (every
+    field 0) for no cusps."""
+    head = 0
+    for c in cusps:
+        head = _max_plus(head, _shifts(c, lanes), lanes)
+    return head
 
 
-def counting_function(head: list[int], rises: GapRises, n: int) -> int:
-    """R(n) of a prefix of cusps with gap table head, plus one last cusp
-    with these gap rises: n - H(n), 0 for n <= 0.
+def _counting(head: int, shifts: list[int], n: int, lanes: _Lanes) -> int:
+    """R(n) of a prefix of cusps with packed gap table head, plus one last
+    cusp with these rise shifts: n - H(n) for n <= (d-1)^2, 0 for n <= 0.
 
-    H(n) = max_k head(n - k) + G(k), with head held at its last value
-    past its end.  As in _max_plus only k = 0 and the rises k <= n can
-    win, so no table is built for the last cusp."""
+    H(n) = max_k head(n - k) + G(k).  As in _max_plus only k = 0 and the
+    rises k <= n can win, so no table is built for the last cusp."""
     if n <= 0:
         return 0
-    end = len(head) - 1
-    h = head[min(n, end)]
-    for k, i in rises:
-        if k > n:
+    nw = n * lanes.width
+    at = lanes.top - nw  # the bit offset of field n
+    value = lanes.value
+    h = head >> at & value
+    for i, s in enumerate(shifts, 1):
+        if s > nw:  # this rise and the later ones lie past n
             break
-        h = max(h, head[min(n - k, end)] + i)
+        v = (head >> at + s & value) + i
+        if v > h:
+            h = v
     return n - h
 
 
-def _first_failure(degree: int, head: list[int], rises: GapRises) -> Gate:
-    for j in range(-1, degree - 1):
-        got = counting_function(head, rises, j * degree + 1)
+def _first_failure(degree: int, head: int, shifts: list[int], lanes: _Lanes) -> Gate:
+    # j = -1 reads R(1 - d) = 0, which always holds
+    for j in range(degree - 1):
+        got = _counting(head, shifts, j * degree + 1, lanes)
         if got != (j + 1) * (j + 2) // 2:
             return j, got
     return None
@@ -227,13 +281,15 @@ def semigroup_condition(combo: CuspCombo) -> Gate:
     j = -1 .. d-2.  Returns the first failing j with R(jd+1), or None
     when the combo passes.
 
-    The gap table of all cusps but the last is folded once, and the
-    last cusp is read only at the gate points (counting_function), as
-    at the leaves of gated_combos.  Reading only k = 0 and the rises of
-    the last cusp's gap count is exact: the prefix table does not fall,
-    so on a run of constant gap count the smallest k wins."""
-    head = gap_table(combo.cusps[:-1])
-    return _first_failure(combo.degree, head, combo.cusps[-1].gap_rises())
+    The packed gap table of all cusps but the last is folded once, and
+    the last cusp is read only at the gate points (_counting), as at the
+    leaves of gated_combos.  Reading only k = 0 and the rises of the
+    last cusp's gap count is exact: the prefix table does not fall, so
+    on a run of constant gap count the smallest k wins."""
+    lanes = _lanes(combo.degree)
+    head = _gap_table(combo.cusps[:-1], lanes)
+    last = _shifts(combo.cusps[-1], lanes)
+    return _first_failure(combo.degree, head, last, lanes)
 
 
 def cusp_types_with_delta(delta: int) -> list[CuspType]:
@@ -258,22 +314,23 @@ def gated_combos(degree: int) -> list[tuple[CuspCombo, Gate]]:
     types.  Each prefix folds its gap table from its parent's once, and
     only if some type from its last one on still fits under the
     remaining delta; a leaf builds no table and reads its last cusp at
-    the gate points (counting_function), stopping at the first failing
-    j.  Sibling leaves share the whole prefix, so one table serves them
-    all.  The tables and the types' gap rises live for one call."""
+    the gate points (_counting), stopping at the first failing j.
+    Sibling leaves share the whole prefix, so one table serves them all.
+    The packed tables and the types' rise shifts live for one call."""
     if degree < 3:
         # checked up front: degree d < 0 has the genus of degree 3 - d
         raise ValueError(f"degree >= 3, got {degree}")
     genus = (degree - 1) * (degree - 2) // 2
     types = sorted(c for k in range(1, genus + 1) for c in cusp_types_with_delta(k))
     deltas = [c.delta for c in types]
-    rises = [c.gap_rises() for c in types]
+    lanes = _lanes(degree)
+    shifts = [_shifts(c, lanes) for c in types]
     # least[i]: the smallest delta among types[i:]
     least = list(accumulate(reversed(deltas), min))[::-1]
     results: list[tuple[CuspCombo, Gate]] = []
 
     def extend(
-        remaining: int, chosen: list[CuspType], floor: int, head: list[int]
+        remaining: int, chosen: list[CuspType], floor: int, head: int
     ) -> None:
         for i in range(floor, len(types)):
             rest = remaining - deltas[i]
@@ -281,13 +338,13 @@ def gated_combos(degree: int) -> list[tuple[CuspCombo, Gate]]:
                 continue
             chosen.append(types[i])
             if rest == 0:
-                gate = _first_failure(degree, head, rises[i])
+                gate = _first_failure(degree, head, shifts[i], lanes)
                 results.append((CuspCombo(degree, tuple(chosen)), gate))
             elif least[i] <= rest:
-                extend(rest, chosen, i, _max_plus(head, rises[i]))
+                extend(rest, chosen, i, _max_plus(head, shifts[i], lanes))
             chosen.pop()
 
-    extend(genus, [], 0, [0])
+    extend(genus, [], 0, 0)
     return results
 
 

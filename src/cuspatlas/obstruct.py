@@ -12,8 +12,9 @@ then aggregates a final status.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import Iterator, List, Optional, Sequence, Union
 
 from .blowdown import (
     OBSTRUCTED,
@@ -161,6 +162,11 @@ class ClassificationRecord:
         cap = self.cap
         embeddings = [] if cap is None else cap.embeddings
         images = [] if cap is None else zip(cap.fingerprints, cap.entries)
+        forms, ambients = [], []
+        if cap is not None:
+            with cap_faults(cap.recipe):
+                forms = [complement_form(e).to_dict() for e in embeddings]
+                ambients = [ambient(e) for e in embeddings]
         return {
             "combo": str(self.combo),
             "degree": self.combo.degree,
@@ -171,10 +177,10 @@ class ClassificationRecord:
                 "no stock cap recipe for this combination" if cap is None else None
             ),
             "embeddings": [
-                {**e.to_dict(), "complement": complement_form(e).to_dict()}
-                for e in embeddings
+                {**e.to_dict(), "complement": form}
+                for e, form in zip(embeddings, forms)
             ],
-            "ambients": [ambient(e) for e in embeddings],
+            "ambients": ambients,
             "fingerprints": [image_dict(f, entry) for f, entry in images],
             "final_status": self.final_status,
         }
@@ -239,21 +245,29 @@ def cap_verdicts(
     return [ObstructionVerdict("NoAdjunctiveEmbedding", "Pass", embedded), catalog]
 
 
+@contextmanager
+def cap_faults(recipe: CapRecipe) -> Iterator[None]:
+    """Raise a ValueError from the block again as a RuntimeError that
+    names the cap.  Every stage run on a stock cap checks what it builds,
+    so its ValueError is a broken invariant of the engine, not bad input:
+    a cap off +1, an embedding or an image that fails its own check, or
+    classes with no residual form (a cap's Gram matrix has det +-d^2, so
+    its classes are independent)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise RuntimeError(f"cap {recipe.kind} for {recipe.combo}: {exc}") from exc
+
+
 def run_cap(recipe: CapRecipe) -> CapRun:
     """Build the cap, enumerate its embeddings, blow each one down, look
-    each image up in the catalog and read the cap's verdicts.
-
-    Every stage checks what it builds, and the recipes are stock ones,
-    so a ValueError from a stage (a cap off +1, an embedding or an image
-    that fails its own check) is a broken invariant: it is raised again
-    as a RuntimeError that names the cap."""
-    try:
+    each image up in the catalog and read the cap's verdicts; a stage's
+    ValueError is raised again under cap_faults."""
+    with cap_faults(recipe):
         graph = build_cap(recipe)
         embeddings = enumerate_embeddings(graph)
         fingerprints = [blow_down_trace(e) for e in embeddings]
         entries = [catalog_lookup(f) for f in fingerprints]
-    except ValueError as exc:
-        raise RuntimeError(f"cap {recipe.kind} for {recipe.combo}: {exc}") from exc
     verdicts = cap_verdicts(recipe, graph, entries)
     return CapRun(recipe, graph, embeddings, fingerprints, entries, verdicts)
 

@@ -3,9 +3,11 @@
 Each one recomputes a fact the library reaches another way: the
 continuant by its recurrence, the Riemenschneider dual through it,
 the normal crossing star of a single cusp, definiteness by leading
-minors, and the bounded zero strings by a plain depth-first walk of the
-whole product space.
+minors, the bounded zero strings by a plain depth-first walk of the
+whole product space, and the semigroup gate's gap tables as lists.
 """
+
+from functools import reduce
 
 from cuspatlas.cf import cf_expand
 from cuspatlas.linalg import int_det
@@ -95,3 +97,38 @@ def negative_definite(form) -> bool:
         if minor * (-1) ** j <= 0:
             return False
     return True
+
+
+def max_plus(head, rises):
+    """max_k head(n - k) + G(k) for n = 0 .. len(head) - 1 + c, as a list,
+    where G is a gap count with these rises (k, G(k)), the last at k = c,
+    and head is held at its last value past its end.  For fixed n the
+    head term does not grow with k, so on each run of constant G only its
+    first k counts: k = 0 and each rise."""
+    c = rises[-1][0]
+    out = head + [head[-1]] * c
+    for k, i in rises:
+        shifted = [h + i for h in head] + [head[-1] + i] * (c - k)
+        out[k:] = map(max, out[k:], shifted)
+    return out
+
+
+def gap_table(cusps):
+    """H(0 .. sum c), the max-plus convolution of the cusps' gap counts,
+    as a list; [0] for no cusps."""
+    return reduce(max_plus, (c.gap_rises() for c in cusps), [0])
+
+
+def counting_function(head, rises, n):
+    """R(n) of a prefix of cusps with list gap table head, plus one last
+    cusp with these gap rises: n - H(n), 0 for n <= 0, with head held at
+    its last value past its end."""
+    if n <= 0:
+        return 0
+    end = len(head) - 1
+    h = head[min(n, end)]
+    for k, i in rises:
+        if k > n:
+            break
+        h = max(h, head[min(n - k, end)] + i)
+    return n - h

@@ -379,6 +379,26 @@ def test_a_stage_failing_its_own_check_exits_3(monkeypatch):
         assert why in err, argv
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("embed", "B", "2"),
+        ("blowdown", "B", "2", "--json"),
+        ("classify", "--degree", "5"),
+        ("unicuspidal", "--degree", "5"),
+    ],
+)
+def test_a_cap_with_no_residual_form_exits_3(monkeypatch, argv):
+    # a cap's Gram matrix has det +-d^2, so its classes are independent
+    # and a kernel short of vectors is the engine's fault: exit 3 with
+    # the cap named, not the usage error's 1
+    monkeypatch.setattr(lattice, "int_kernel_basis", lambda rows, n: [])
+    code, out, err = run(*argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("atlas: internal error: cap ")
+    assert "rationally dependent" in err
+
+
 def _python(*args):
     """(exit status, stdout, stderr) of a fresh interpreter run on args."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}

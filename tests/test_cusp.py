@@ -1,3 +1,4 @@
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -7,13 +8,15 @@ from hypothesis import strategies as st
 from cuspatlas.cusp import (
     CuspCombo,
     CuspType,
-    counting_function,
+    _counting,
+    _gap_table,
+    _lanes,
+    _shifts,
     cusp_types_with_delta,
     enumerate_combos,
     family_combo,
     family_of,
     fibonacci_index,
-    gap_table,
     gated_combos,
     mult_seq,
     ms_recognize,
@@ -22,6 +25,7 @@ from cuspatlas.cusp import (
 )
 from cuspatlas.cf import fib
 from cuspatlas.obstruct import riemann_hurwitz_verdict, semigroup_verdict
+from oracles import counting_function, gap_table
 
 cusp_pairs = st.integers(2, 12).flatmap(
     lambda p: st.tuples(
@@ -154,7 +158,8 @@ def test_semigroup_R_frozen():
     assert semigroup_R(CuspType(2, 3), 1) == 1
     assert semigroup_R(CuspType(2, 3), 0) == 0
     # the min-convolution is zero on nonpositive arguments
-    assert counting_function([0], CuspType(2, 3).gap_rises(), -3) == 0
+    lanes = _lanes(3)
+    assert _counting(0, _shifts(CuspType(2, 3), lanes), -3, lanes) == 0
 
 
 @given(cusp_pairs, st.integers(0, 120))
@@ -183,10 +188,12 @@ def test_combo_validation():
 
 
 def test_combo_R_single_matches_semigroup_R():
-    # one cusp after the empty prefix, whose gap table is [0]
-    rises = CuspType(4, 5).gap_rises()
+    # one cusp after the empty prefix, whose packed gap table is 0; the
+    # reader's last field at degree 5 is n = 16
+    lanes = _lanes(5)
+    shifts = _shifts(CuspType(4, 5), lanes)
     for n in range(0, 17):
-        assert counting_function([0], rises, n) == semigroup_R(CuspType(4, 5), n)
+        assert _counting(0, shifts, n, lanes) == semigroup_R(CuspType(4, 5), n)
 
 
 @st.composite
@@ -208,6 +215,8 @@ def random_combos(draw):
 # (2,7) read last after (3,4) needs the k = 0 term at n = 3
 @example(CuspCombo(5, (CuspType(2, 7), CuspType(3, 4))))
 def test_gap_table_matches_the_min_convolution(combo):
+    # the list fold of the test oracles, the reference of the packed
+    # fold above degree 7
     total = sum(c.conductor for c in combo.cusps)
     assert total == (combo.degree - 1) * (combo.degree - 2)
     assert len(gap_table(combo.cusps)) == total + 1
@@ -221,6 +230,81 @@ def test_gap_table_matches_the_min_convolution(combo):
         head = gap_table(combo.cusps[:i] + combo.cusps[i + 1 :])
         for n in range(-5, total + 6):
             assert counting_function(head, last.gap_rises(), n) == want[n], (i, n)
+
+
+def cusp_types_up_to(genus):
+    """Every one-Puiseux-pair type with delta <= genus."""
+    return [
+        CuspType(p, q)
+        for p in range(2, 2 * genus + 2)
+        for q in range(p + 1, 2 * genus // (p - 1) + 2)
+        if gcd(p, q) == 1
+    ]
+
+
+@st.composite
+def balanced_combos(draw):
+    """A genus-balanced cusp multiset at a random degree 3..40, cusp by
+    cusp from every type whose delta still fits."""
+    degree = draw(st.integers(3, 40))
+    remaining = (degree - 1) * (degree - 2) // 2
+    types = cusp_types_up_to(remaining)
+    cusps = []
+    while remaining:
+        cusps.append(draw(st.sampled_from([c for c in types if c.delta <= remaining])))
+        remaining -= cusps[-1].delta
+    return CuspCombo(degree, tuple(cusps))
+
+
+def unpacked(table, lanes):
+    """Every field of a packed gap table, n = 0 .. (d-1)^2, guard bit
+    included."""
+    field = (1 << lanes.width) - 1
+    return [
+        table >> lanes.top - n * lanes.width & field
+        for n in range(lanes.top // lanes.width + 1)
+    ]
+
+
+def reference_table(cusps, degree):
+    """H(n) for n = 0 .. (d-1)^2: from the min-convolution oracle through
+    degree 7, and from the list fold held at its last value above."""
+    last = (degree - 1) ** 2
+    if not cusps:
+        return [0] * (last + 1)
+    if degree <= 7:
+        return [n - min_convolution_oracle(cusps, n) for n in range(last + 1)]
+    table = gap_table(cusps)
+    return (table + [table[-1]] * last)[: last + 1]
+
+
+def field_width_examples(test):
+    """Where the field width grows or a field fills up: genus 15 fills
+    four value bits, and d = 12 -> 13 and 17 -> 18 cross a power of two.
+    Each degree gets its A_p curve and (2,3) read before (2, 2g - 1)."""
+    for d in (7, 8, 12, 13, 17, 18):
+        genus = (d - 1) * (d - 2) // 2
+        test = example(CuspCombo(d, (CuspType(d - 1, d),)))(test)
+        test = example(CuspCombo(d, (CuspType(2, 3), CuspType(2, 2 * genus - 1))))(test)
+    return test
+
+
+@settings(max_examples=40, deadline=None)
+@given(balanced_combos())
+@field_width_examples
+def test_packed_fold_and_reader_are_exact_at_every_field_width(combo):
+    d = combo.degree
+    lanes = _lanes(d)
+    *prefix, tail = combo.cusps
+    whole = reference_table(combo.cusps, d)
+    assert unpacked(_gap_table(combo.cusps, lanes), lanes) == whole
+    head = _gap_table(prefix, lanes)
+    assert unpacked(head, lanes) == reference_table(prefix, d)
+    # the reader, with the combo's last cusp read over the others, as
+    # at the gate
+    shifts = _shifts(tail, lanes)
+    for n in range(-3, (d - 1) ** 2 + 1):
+        assert _counting(head, shifts, n, lanes) == max(n - whole[max(n, 0)], 0), n
 
 
 def test_gate_and_witness_match_the_oracle_through_degree_7():
@@ -245,11 +329,16 @@ def test_enumerator_gate_matches_the_single_combo_gate():
 
 
 def test_semigroup_pass_counts_frozen():
-    # the degree-9 count was checked once against the min-convolution oracle
-    for degree, passed, total in ((8, 778, 4704), (9, 1545, 37135)):
+    # the degree-9 count was checked once against the min-convolution
+    # oracle; each count maps the first failing j to its combos, None to
+    # those that pass
+    for degree, total, first in (
+        (8, 4704, {1: 2411, 2: 1515, None: 778}),
+        (9, 37135, {1: 26658, 2: 7209, 3: 1723, None: 1545}),
+    ):
         gates = [gate for _, gate in gated_combos(degree)]
         assert len(gates) == total
-        assert sum(gate is None for gate in gates) == passed
+        assert Counter(None if gate is None else gate[0] for gate in gates) == first
 
 
 def test_semigroup_condition_frozen():
