@@ -265,14 +265,14 @@ def blow_down_trace(emb: Embedding) -> ConfigFingerprint:
             roots.append(PointNode(m, near))
             active.remove(v)
         else:
-            free = [
+            free = (
                 k
                 for k in sorted(remaining)
                 if all(coeff[u].get(k, 0) <= 0 for u in active)
-            ]
-            if not free:
+            )
+            k = next(free, None)
+            if k is None:
                 raise RuntimeError("blow-down deadlock: every index is held up")
-            k = free[0]
             m = {u: -coeff[u][k] for u in active if coeff[u].get(k, 0) < 0}
             roots.append(PointNode(m))
         for u in active:

@@ -10,15 +10,18 @@ assigns classes vertex by vertex in breadth-first order from the root
 (which is always sent to h) and breaks the permutation symmetry of
 exceptional indices by orbit prefixes.  It generates only classes with
 the required pairings against the classes already placed.  The
-search's only record of its assignment is each index's column, the
-(position, coefficient) pairs the placed classes put on it, pushed as
-it places a class and popped as it backs off; a node only groups equal
-columns into orbits, each read as that sparse row, and rechecks a
-candidate's pairings from the columns of its own indices.  A class is
-built one placement at a time (some units of one coefficient into a
-prefix of one orbit), and a branch is cut when a pairing still owed
-lies outside the range the coefficients left to place can add (each
-adds between the extremes of the rows it may take).  The last unit is
+search records its assignment as each index's column, the (position,
+coefficient) pairs the placed classes put on it, pushed as it places a
+class and popped as it backs off.  With the columns it carries their
+orbits, the indices of equal column, each a run of consecutive indices
+read as its sparse row: placing a class cuts only the orbits it takes
+a prefix of and appends the fresh ones, and backing off merges them
+again, so no node regroups the columns.  A candidate's pairings are
+rechecked from the columns of its own indices.  A class is built
+one placement at a time (some units of one coefficient into a prefix
+of one orbit), and a branch is cut when a pairing still owed lies
+outside the range the coefficients left to place can add (each adds
+between the extremes of the rows it may take).  The last unit is
 looked up and the last two are joined on the orbits of one owed class,
 as they must pay what is owed exactly.  The orbit prefixes generate
 each assignment once, and a repeat is an internal error.  Complete
@@ -36,6 +39,7 @@ pair to at most -1, and a cap's graph asks 0 or more.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 from itertools import accumulate, groupby, repeat
@@ -216,7 +220,7 @@ class Embedding:
             # K = -3h + e_0 + ... + e_{n-1} pairs with a sphere to -2 - s
             if -3 * cu.a0 - sum(c for _, c in cu.coeffs) != -2 - g.eulers[u]:
                 raise ValueError(f"vertex {u} violates adjunction")
-            if gram[u][u:] != req[u][u:]:
+            if gram[u][u:] != [*req[u][u:]]:
                 v = next(v for v in range(u, g.n) if gram[u][v] != req[u][v])
                 raise ValueError(f"classes at {u},{v} miss the graph pairing")
 
@@ -236,12 +240,18 @@ class Embedding:
 def _bfs_order(g: PlumbingGraph) -> list[int]:
     from collections import deque
 
+    # each vertex's neighbours in increasing order, from one pass over
+    # the sorted edges: a vertex meets its smaller neighbours first
+    adjacent: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v, _ in g.edges:
+        adjacent[u].append(v)
+        adjacent[v].append(u)
     order = [g.root]
     seen = {g.root}
     queue = deque(order)
     while queue:
         u = queue.popleft()
-        for w in g.neighbors(u):
+        for w in adjacent[u]:
             if w not in seen:
                 seen.add(w)
                 order.append(w)
@@ -251,38 +261,134 @@ def _bfs_order(g: PlumbingGraph) -> list[int]:
     return order
 
 
-def _orbits(
-    cols: Sequence[Sequence[tuple[int, int]]]
-) -> tuple[list[list[int]], list[Row]]:
-    # indices with the same column, the (class, nonzero coefficient) pairs
-    # the assigned classes put on them, are interchangeable; the search
-    # only ever takes a prefix of each orbit.  Returns the orbits and
-    # their rows (the shared column), in the same order, the orbits in
-    # order of first member
-    groups: dict[Row, list[int]] = {}
-    for i, col in enumerate(cols):
-        groups.setdefault(tuple(col), []).append(i)
-    return list(groups.values()), list(groups)
+class _Orbits:
+    """The indices in use, grouped into orbits of equal columns.
+
+    An orbit is a run of consecutive indices: fresh indices open in runs
+    of one value, and a placed class takes a prefix of each orbit it
+    touches, one run per value.  Placing a class therefore cuts the
+    orbits it touches in place and appends the fresh ones.  An orbit is
+    named by its first member, so the orbits in first-member order are
+    the names in increasing order, and a cut renames no other orbit.
+    - ends[s]: one past the last member of orbit s, 0 at an index that
+      starts no orbit;
+    - rows[s]: the row of orbit s, the column its members share (an
+      index that starts no orbit holds a stale row);
+    - by_class[u]: the (orbit, coefficient) pairs of the class at
+      position u, in orbit order;
+    - at[row]: the orbit with that row.  Rows are the distinct columns,
+      and every index in use carries a class, so a row names one orbit
+      and no orbit has the empty row.
+    push cuts the orbits for the class at the next position, and pop
+    undoes the last push, so a cut costs what the class touches.
+    """
+
+    def __init__(self) -> None:
+        self.ends: list[int] = []
+        self.rows: list[Row] = []
+        # the root's class is h, which touches no index
+        self.by_class: list[list[tuple[int, int]]] = [[]]
+        self.at: dict[Row, int] = {}
+        # per push: the index count before it, and per cut orbit its
+        # name, end, row and the names of its pieces
+        self.cuts: list[tuple[int, list[tuple[int, int, Row, list[int]]]]] = []
+
+    def push(self, items: Sequence[tuple[int, int]], new_used: int) -> None:
+        # the class puts coefficient c on each index i of items, and the
+        # indices from len(ends) to new_used are fresh
+        ends, rows, at, by_class = self.ends, self.rows, self.at, self.by_class
+        pos, n_used = len(by_class), len(ends)
+        if new_used > n_used:
+            # the fresh indices: one orbit with the empty row, all cut
+            ends += [0] * (new_used - n_used)
+            rows += [()] * (new_used - n_used)
+            ends[n_used] = new_used
+        mine: list[tuple[int, int]] = []
+        cuts = []
+        # i is one past the run of value v that starts at p, in the orbit
+        # [s, e) with this row; a sentinel closes the last orbit
+        i = e = 0
+        v = None
+        order = sorted(items)
+        order.append((-1, None))
+        for j, val in order:
+            if j == i < e and val == v:
+                i += 1
+                continue
+            if v is not None:
+                new = row + ((pos, v),)
+                ends[p], rows[p], at[new] = i, new, p
+                mine.append((p, v))
+                pieces.append(p)
+            if j == i < e:
+                # the next run of the same orbit
+                p, v, i = j, val, j + 1
+                continue
+            if v is not None:
+                # the rest of the orbit keeps its row
+                if i < e:
+                    ends[i], rows[i], at[row] = e, row, i
+                    pieces.append(i)
+                elif row:
+                    del at[row]
+                if len(pieces) > 1:
+                    for u, c in row:
+                        carried = by_class[u]
+                        k = bisect_left(carried, (s,)) + 1
+                        carried[k:k] = [(q, c) for q in pieces[1:]]
+                cuts.append((s, e, row, pieces))
+            if val is None:
+                break
+            s, e, row, pieces = j, ends[j], rows[j], []
+            if e <= s:
+                raise RuntimeError(f"a class takes index {s} but not its orbit's prefix")
+            p, v, i = j, val, j + 1
+        by_class.append(mine)
+        self.cuts.append((n_used, cuts))
+
+    def pop(self) -> None:
+        ends, rows, at, by_class = self.ends, self.rows, self.at, self.by_class
+        n_used, cuts = self.cuts.pop()
+        by_class.pop()
+        for s, e, row, pieces in cuts:
+            for p in pieces:
+                del at[rows[p]]
+                ends[p] = 0
+            ends[s], rows[s] = e, row
+            if row:
+                at[row] = s
+            if len(pieces) > 1:
+                for u, _ in row:
+                    carried = by_class[u]
+                    k = bisect_left(carried, (s,)) + 1
+                    del carried[k:k + len(pieces) - 1]
+        del ends[n_used:], rows[n_used:]
+
+
+def _suffix_units(groups: Sequence[tuple[int, int]]) -> list[int]:
+    # per group gi: the units of group gi and the groups after it
+    return [*accumulate((cnt for _, cnt in reversed(groups)), initial=0)][::-1]
 
 
 def _distributions(
     groups: Sequence[tuple[int, int]],
-    orbits: Sequence[Sequence[int]],
-    rows: Sequence[Row],
-    targets: Sequence[int],
-    fresh_start: int,
+    units: Sequence[int],
+    orbits: _Orbits,
+    owed: Mapping[int, int],
 ) -> Iterator[tuple[list[tuple[int, int]], int]]:
     """Assign each profile value a distinct index, up to index symmetry,
     so that the new class pairs as required with every earlier class.
 
     Values are placed into prefixes of the interchangeability orbits or
-    onto consecutive fresh indices; yields (index, value) lists together
-    with the new fresh-index watermark.  Every member of orbit o carries
-    the coefficients of rows[o] (class, coefficient; 0 in the classes
-    it omits) and fresh indices carry none, so the e-part of the
-    pairing with class u is linear in the units of each value placed in
-    each orbit and must reach targets[u].  `need` holds what is still
-    owed, only its nonzero entries.
+    onto consecutive fresh indices, the first of them len(orbits.ends);
+    yields (index, value) lists together with the new fresh-index
+    watermark.  units[gi] counts the units of group gi and the groups
+    after it.  Every member of orbit o carries the coefficients of
+    rows[o] (class, coefficient; 0 in the classes it omits) and fresh
+    indices carry none, so the e-part of the pairing with class u is
+    linear in the units of each value placed in each orbit and must
+    reach owed[u] (owed holds only the nonzero entries).  `need` holds
+    what is still owed, only its nonzero entries.
 
     The walk recurses once per placement, t > 0 units of one value into
     one orbit, with orbits taken in increasing order; the orbits that
@@ -302,10 +408,9 @@ def _distributions(
     The last one or two units are placed without a scan.  Nothing
     follows them, so they must pay the need exactly, and a unit of val
     in orbit o pays val * rows[o]; a fresh index pays nothing.
-    - One unit goes to each orbit from oi on whose row is need / val
-      and that has a free member (several when rows repeat), nowhere if
-      val does not divide the need, and onto a fresh index only when
-      nothing is owed.
+    - One unit goes to the orbit whose row is need / val if it lies
+      from oi on and has a free member, nowhere if val does not divide
+      the need, and onto a fresh index only when nothing is owed.
     - Two units, v1 then v2 (two of the last value, or one of each of
       the last two values), are a join: v1 * rows[o1] + v2 * rows[o2]
       = need.  With something owed, one owed class suffices: only its
@@ -325,15 +430,9 @@ def _distributions(
     Those are the leaves the scan would reach.  Every other leaf must
     hit every target.
     """
-    no, last = len(orbits), len(groups) - 1
-    # units[gi]: the units of group gi and the groups after it
-    units = [*accumulate((cnt for _, cnt in reversed(groups)), initial=0)][::-1]
-    by_class: dict[int, list[tuple[int, int]]] = {}
-    orbits_of: dict[Row, list[int]] = {}
-    for o, row in enumerate(rows):
-        orbits_of.setdefault(row, []).append(o)
-        for u, c in row:
-            by_class.setdefault(u, []).append((o, c))
+    ends, rows, by_class, at = orbits.ends, orbits.rows, orbits.by_class, orbits.at
+    # orbits are named by their first members; no names the fresh indices
+    no, last = len(ends), len(groups) - 1
     tables: dict[int, list[tuple[list[int], list[int], int, int]]] = {}
 
     def table(u: int) -> list[tuple[list[int], list[int], int, int]]:
@@ -341,7 +440,7 @@ def _distributions(
         # orbits from o on and the fresh indices (swapped when val < 0),
         # then the least and the most the groups after gi can add
         col = [0] * no
-        for o, c in by_class.get(u, ()):
+        for o, c in by_class[u]:
             col[o] = c
         lo = [*accumulate(reversed(col), min, initial=0)][::-1]
         hi = [*accumulate(reversed(col), max, initial=0)][::-1]
@@ -354,21 +453,22 @@ def _distributions(
         tables[u] = out[::-1]
         return tables[u]
 
-    need = {u: r for u, r in enumerate(targets) if r}
-    taken = [0] * no
+    need = dict(owed)
+    # free[o]: the first member of orbit o that no unit has taken
+    free = [*range(no)]
     acc: list[tuple[int, int]] = []
 
-    def paying(rem: dict[int, int], val: int) -> list[int]:
-        # the orbits where a unit of val pays rem exactly, then no (the
-        # fresh indices) when rem is empty
+    def paying(rem: dict[int, int], val: int) -> int | None:
+        # the orbit where a unit of val pays rem exactly: no (the fresh
+        # indices) when rem is empty, None when no orbit does
         if not rem:
-            return [*orbits_of.get((), ()), no]
+            return no
         if val == 1:
-            return orbits_of.get(tuple(sorted(rem.items())), [])
+            return at.get(tuple(sorted(rem.items())))
         if any(map(mod, rem.values(), repeat(val))):
-            return []
+            return None
         quotients = map(floordiv, rem.values(), repeat(val))
-        return orbits_of.get(tuple(sorted(zip(rem, quotients))), [])
+        return at.get(tuple(sorted(zip(rem, quotients))))
 
     def less(val: int, o: int) -> dict[int, int]:
         # the need once a unit of val sits in orbit o
@@ -384,8 +484,8 @@ def _distributions(
         # fresh indices when o == no), None when the orbit runs out
         if o == no:
             return fresh_at + k
-        j = taken[o] + k
-        return orbits[o][j] if j < len(orbits[o]) else None
+        j = free[o] + k
+        return j if j < ends[o] else None
 
     def join(
         gi: int, oi: int, fresh_at: int
@@ -394,19 +494,27 @@ def _distributions(
         v1, v2, same = groups[gi][0], groups[last][0], gi == last
         pairs: list[tuple[int, int]] = []
         if need:
-            u = min(need, key=lambda u: len(by_class.get(u, ())))
-            for o, c in by_class.get(u, ()):
+            u = min(need, key=lambda u: len(by_class[u]))
+            for o, c in by_class[u]:
                 if o >= oi:
-                    for o2 in paying(less(v1, o), v2):
+                    o2 = paying(less(v1, o), v2)
+                    if o2 is not None:
                         pairs.append((o, o2))
                 # o as o2 with a first unit that pays u nothing
                 if v2 * c == need[u] and (o >= oi or not same):
-                    for o1 in paying(less(v2, o), v1):
+                    o1 = paying(less(v2, o), v1)
+                    if o1 is not None:
                         pairs.append((o1, o))
         else:
-            for o1 in range(oi, no + 1):
-                for o2 in paying(less(v1, o1), v2):
+            # every orbit from oi on, then the fresh indices
+            o1 = oi
+            while True:
+                o2 = paying(less(v1, o1), v2)
+                if o2 is not None:
                     pairs.append((o1, o2))
+                if o1 == no:
+                    break
+                o1 = ends[o1]
         out = []
         for o1, o2 in pairs:
             if o1 < oi or same and o2 < o1:
@@ -436,14 +544,18 @@ def _distributions(
             return
         if rest == 1:
             # the last unit: the exact close of the docstring
-            for o in paying(need, val):
+            o = paying(need, val)
+            if o is not None and o >= oi:
                 i = member(o, 0, fresh_at)
-                if o >= oi and i is not None:
+                if i is not None:
                     yield [*acc, (i, val)], fresh_at + (o == no)
             return
         live = [(r, (tables.get(u) or table(u))[gi]) for u, r in need.items()]
         n = left * val
-        for o in range(oi, no + 1):
+        # the orbits from oi on, each one's end the next one's name, then
+        # the fresh indices
+        o = oi
+        while True:
             for r, (small, large, flo, fhi) in live:
                 if r < n * small[o] + flo or r > n * large[o] + fhi:
                     return
@@ -452,26 +564,27 @@ def _distributions(
                 yield from place(gi, no, 0, fresh_at + left)
                 del acc[-left:]
                 return
-            members, row = orbits[o], rows[o]
-            base = taken[o]
-            for t in range(min(left, len(members) - base), 0, -1):
+            end, row = ends[o], rows[o]
+            base = free[o]
+            for t in range(min(left, end - base), 0, -1):
                 step = val * t
                 for u, c in row:
                     s = need.pop(u, 0) - step * c
                     if s:
                         need[u] = s
-                acc.extend((i, val) for i in members[base:base + t])
-                taken[o] = base + t
-                yield from place(gi, o + 1, left - t, fresh_at)
-                taken[o] = base
+                acc.extend((i, val) for i in range(base, base + t))
+                free[o] = base + t
+                yield from place(gi, end, left - t, fresh_at)
+                free[o] = base
                 del acc[-t:]
                 for u, c in row:
                     s = need.pop(u, 0) + step * c
                     if s:
                         need[u] = s
+            o = end
 
     # group -1 has no units left, so the walk opens on group 0
-    yield from place(-1, 0, 0, fresh_start)
+    yield from place(-1, 0, 0, no)
 
 
 def _canonical_classes(
@@ -529,36 +642,39 @@ class _Search:
         self.order = _bfs_order(g)
         req = g.intersection_matrix()
         # per position: a0, the h-degree (the pairing with the root, 1 at
-        # the root itself), and the targets, the e-part of the pairing with
-        # each earlier position (a0 * ua0 minus what the graph wants);
-        # both are fixed per graph
+        # the root itself), the targets, the e-part of the pairing with
+        # each earlier position (a0 * ua0 minus what the graph wants), and
+        # the owed dict of its nonzero targets; all are fixed per graph
         self.a0s = [req[v][g.root] for v in self.order]
         self.targets = [
             [ua0 * a0 - req[u][v] for u, ua0 in zip(self.order, self.a0s[:pos])]
             for pos, (v, a0) in enumerate(zip(self.order, self.a0s))
         ]
-        # each position's profiles, as (value, count) groups
-        self.profiles = [
-            [
-                [(val, len([*run])) for val, run in groupby(p)]
-                for p in adjunction_profiles(a0, g.eulers[v])
-            ]
-            for v, a0 in zip(self.order, self.a0s)
-        ]
-        # the search's only record of its assignment: cols[i] holds the
+        self.owed = [{u: r for u, r in enumerate(t) if r} for t in self.targets]
+        # each position's profiles, as (value, count) groups with their
+        # unit suffix counts, built once per distinct (a0, square)
+        shapes: dict[tuple[int, int], list] = {}
+        for v, a0 in zip(self.order, self.a0s):
+            if (a0, g.eulers[v]) not in shapes:
+                runs = [
+                    [(val, len([*run])) for val, run in groupby(p)]
+                    for p in adjunction_profiles(a0, g.eulers[v])
+                ]
+                shapes[a0, g.eulers[v]] = [(gs, _suffix_units(gs)) for gs in runs]
+        self.profiles = [shapes[a0, g.eulers[v]] for v, a0 in zip(self.order, self.a0s)]
+        # the search's record of its assignment: cols[i] holds the
         # (position, coefficient) pairs the placed classes put on e_i, one
-        # column per index in use (the root's h puts none)
+        # column per index in use (the root's h puts none); orbits groups
+        # the indices by equal column, cut and restored with the columns
         self.cols: list[list[tuple[int, int]]] = []
+        self.orbits = _Orbits()
 
     def candidates(self, pos: int) -> Iterator[tuple[list[tuple[int, int]], int]]:
         v, a0, targets = self.order[pos], self.a0s[pos], self.targets[pos]
         cols = self.cols
         n_used = len(cols)
-        # the placed classes, as orbits of equal columns: the node's only
-        # pass over them
-        orbits, rows = _orbits(cols)
-        for groups in self.profiles[pos]:
-            for items, new_used in _distributions(groups, orbits, rows, targets, n_used):
+        for groups, units in self.profiles[pos]:
+            for items, new_used in _distributions(groups, units, self.orbits, self.owed[pos]):
                 # the e-part of the pairing with every earlier class, read
                 # off the columns of the candidate's own indices (fresh
                 # ones carry nothing), must be targets exactly
@@ -580,12 +696,12 @@ class _Search:
         n_used = len(cols)
         if pos == self.g.n:
             # the leaf reads its classes off the columns, made dense and
-            # indexed by vertex
+            # indexed by vertex; a vertex's a0 is its pairing with the root
             order, dense = self.order, [[0] * pos for _ in cols]
             for col, out in zip(cols, dense):
                 for p, c in col:
                     out[order[p]] = c
-            a0s = [a0 for _, a0 in sorted(zip(order, self.a0s))]
+            a0s = self.g.intersection_matrix()[self.g.root]
             leaves.append(Embedding(self.g, _canonical_classes(a0s, dense), n_used))
             return
         # materialised so that no open generator holds its bound tables
@@ -594,7 +710,9 @@ class _Search:
             cols.extend([] for _ in range(new_used - n_used))
             for i, c in items:
                 cols[i].append((pos, c))
+            self.orbits.push(items, new_used)
             self.dfs(pos + 1, leaves)
+            self.orbits.pop()
             for i, _ in items:
                 cols[i].pop()
             del cols[n_used:]

@@ -26,6 +26,7 @@ blow-ups to spare need a hand table of modes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .cusp import CuspCombo, CuspType, family_combo, family_of
@@ -92,22 +93,18 @@ class PlumbingGraph:
                 return order
         return 0
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        out = set()
-        for a, b, _ in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return tuple(sorted(out))
+    def intersection_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The pairing of every two vertices, built once per graph."""
+        return self._pairings
 
-    def intersection_matrix(self) -> list[list[int]]:
+    @cached_property
+    def _pairings(self) -> tuple[tuple[int, ...], ...]:
         m = [[0] * self.n for _ in range(self.n)]
         for i, e in enumerate(self.eulers):
             m[i][i] = e
         for u, v, order in self.edges:
             m[u][v] = m[v][u] = order
-        return m
+        return tuple(map(tuple, m))
 
     def to_dot(self) -> str:
         lines = ["graph plumbing {"]

@@ -4,7 +4,8 @@ Each one recomputes a fact the library reaches another way: the
 continuant by its recurrence, the Riemenschneider dual through it,
 the normal crossing star of a single cusp, definiteness by leading
 minors, the bounded zero strings by a plain depth-first walk of the
-whole product space, and the semigroup gate's gap tables as lists.
+whole product space, the semigroup gate's gap tables as lists, and the
+embedding search's orbits regrouped from its columns.
 """
 
 from functools import reduce
@@ -132,3 +133,17 @@ def counting_function(head, rises, n):
             break
         h = max(h, head[min(n - k, end)] + i)
     return n - h
+
+
+def orbits(cols):
+    """The indices with equal columns, and their rows, from scratch.
+
+    cols[i] is the (class, nonzero coefficient) pairs the placed classes
+    put on index i.  Indices with the same column are interchangeable.
+    Returns the orbits in order of first member, and their rows (the
+    shared column as a tuple) in the same order.
+    """
+    groups = {}
+    for i, col in enumerate(cols):
+        groups.setdefault(tuple(col), []).append(i)
+    return list(groups.values()), list(groups)

@@ -7,11 +7,17 @@ from area_lp import area_feasible
 from caps import plus_one_caps
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import negative_definite
+from oracles import negative_definite, orbits
 
 from cuspatlas import cli, lattice
 from cuspatlas.blowdown import blow_down_trace, catalog_lookup
-from cuspatlas.cusp import CuspCombo, CuspType, enumerate_combos, semigroup_condition
+from cuspatlas.cusp import (
+    CuspCombo,
+    CuspType,
+    enumerate_combos,
+    gated_combos,
+    semigroup_condition,
+)
 from cuspatlas.lattice import (
     Embedding,
     HClass,
@@ -245,13 +251,38 @@ def _pairs_as_required(items, orbits, cols, targets):
     )
 
 
+def _partition(members, rows, n_classes):
+    # the orbits the search carries, for these orbits (runs of
+    # consecutive indices that tile 0..n-1, in order) and their rows
+    part = lattice._Orbits()
+    n = sum(map(len, members))
+    part.ends, part.rows = [0] * n, [()] * n
+    part.by_class = [[] for _ in range(n_classes)]
+    for m, row in zip(members, rows):
+        assert m == list(range(m[0], m[0] + len(m)))
+        part.ends[m[0]], part.rows[m[0]], part.at[row] = m[0] + len(m), row, m[0]
+        for u, c in row:
+            part.by_class[u].append((m[0], c))
+    assert [m[0] for m in members] == sorted(part.at.values())
+    return part
+
+
+def _read(part):
+    # the orbits and their rows, read off a carried partition
+    starts = [s for s, e in enumerate(part.ends) if e]
+    return [list(range(s, part.ends[s])) for s in starts], [part.rows[s] for s in starts]
+
+
 def _checked_distributions(seen):
     real = lattice._distributions
 
-    def wrapper(groups, orbits, rows, targets, fresh_start):
+    def wrapper(groups, units, part, owed):
+        orbits, rows = _read(part)
+        fresh_start = len(part.ends)
+        targets = [owed.get(u, 0) for u in range(len(part.by_class))]
         cols = _cols(rows, len(targets))
         got = []
-        for items, end in real(groups, orbits, rows, targets, fresh_start):
+        for items, end in real(groups, units, part, owed):
             indices = [i for i, _ in items]
             assert len(set(indices)) == len(indices)
             assert sorted(v for _, v in items) == sorted(
@@ -300,9 +331,10 @@ def test_distributions_yield_exactly_the_required_pairings(monkeypatch):
 
 
 def test_pairing_mismatch_from_the_generator_is_an_internal_error(monkeypatch):
-    def broken(groups, orbits, rows, targets, fresh_start):
+    def broken(groups, units, part, owed):
         # every value on fresh indices, whatever the pairings require
         values = [v for v, c in groups for _ in range(c)]
+        fresh_start = len(part.ends)
         yield [(fresh_start + j, v) for j, v in enumerate(values)], fresh_start + len(values)
 
     monkeypatch.setattr(lattice, "_distributions", broken)
@@ -318,11 +350,11 @@ def test_a_unit_on_an_index_a_distant_class_carries_is_an_internal_error(monkeyp
     real = lattice._distributions
     strays = []
 
-    def stray(groups, orbits, rows, targets, fresh_start):
-        v = order[len(targets)]
-        for items, end in real(groups, orbits, rows, targets, fresh_start):
+    def stray(groups, units, part, owed):
+        v = order[len(part.by_class)]
+        for items, end in real(groups, units, part, owed):
             taken = {i for i, _ in items}
-            for members, row in zip(orbits, rows):
+            for members, row in zip(*_read(part)):
                 far = [order[u] for u, _ in row if req[order[u]][v] == 0]
                 free = [i for i in members if i not in taken]
                 if not strays and row and len(far) == len(row) and free:
@@ -348,6 +380,142 @@ def test_the_search_leaves_its_columns_empty():
     assert search.cols == []
 
 
+def test_a_class_off_an_orbit_prefix_is_an_internal_error():
+    # e_0 and e_1 carry one column, so their orbit is cut only from e_0
+    part = lattice._Orbits()
+    part.push([(0, -1), (1, -1)], 2)
+    assert (part.ends, part.at) == ([2, 0], {((1, -1),): 0})
+    with pytest.raises(RuntimeError, match="index 1 but not its orbit's prefix"):
+        part.push([(1, 1)], 2)
+    part.push([(0, 1)], 2)
+    assert (part.ends, part.by_class) == ([1, 2], [[], [(0, -1), (1, -1)], [(0, 1)]])
+
+
+def _initial(search):
+    # the columns and the carried orbits as a fresh search holds them
+    part = search.orbits
+    return search.cols, part.ends, part.rows, part.by_class, part.at, part.cuts
+
+
+def test_the_carried_orbits_are_the_orbits_of_the_columns(monkeypatch):
+    # at every node the orbits carried down the branch equal the orbits
+    # regrouped from the columns from scratch, and a finished search
+    # holds them as a fresh one does
+    real = lattice._Search.dfs
+    searches, nodes = [], []
+
+    def checked(self, pos, leaves):
+        members, rows = orbits(self.cols)
+        assert () not in rows
+        want, part = _partition(members, rows, pos), self.orbits
+        assert part.ends == want.ends
+        assert [part.rows[m[0]] for m in members] == rows
+        assert part.by_class == want.by_class
+        assert part.at == want.at
+        if pos == 1:
+            searches.append(self)
+        nodes.append(len(members))
+        real(self, pos, leaves)
+
+    monkeypatch.setattr(lattice._Search, "dfs", checked)
+    graphs = [cap(kind, p) for kind, p in BENCH_CAPS]
+    graphs += [g for d in range(3, 7) for g in plus_one_caps(d)]
+    for g in graphs:
+        enumerate_embeddings(g)
+    assert len(searches) > 200 and max(nodes) >= 20
+    fresh = _initial(lattice._Search(cap("A_p", 2)))
+    for search in searches:
+        assert _initial(search) == fresh == ([], [], [], [[]], {}, [])
+
+
+# per cap: _Search.dfs calls, _distributions items, _Search.candidates
+# items and embeddings, as the search read before it carried its orbits
+# (the census caps are named by degree and cusps)
+SEARCH_COUNTERS = {
+    "A2": (8, 7, 7, 1),
+    "A3": (10, 9, 9, 1),
+    "A4": (12, 11, 11, 1),
+    "A5": (14, 13, 13, 1),
+    "A6": (16, 15, 15, 1),
+    "A7": (18, 17, 17, 1),
+    "A8": (20, 19, 19, 1),
+    "A9": (22, 21, 21, 1),
+    "A10": (24, 23, 23, 1),
+    "B2": (12, 11, 11, 3),
+    "B3": (12, 11, 11, 2),
+    "B4": (14, 13, 13, 2),
+    "B5": (16, 15, 15, 2),
+    "B6": (18, 17, 17, 2),
+    "E3": (19, 18, 18, 3),
+    "E6": (53, 52, 52, 6),
+    "4:(2,3)+(2,3)+(2,3)": (11, 10, 10, 3),
+    "4:(2,3)+(2,5)": (11, 10, 10, 3),
+    "4:(2,7)": (12, 11, 11, 3),
+    "4:(3,4)": (10, 9, 9, 1),
+    "5:(2,3)+(2,3)+(2,3)+(2,3)+(2,3)+(2,3)": (11, 10, 10, 2),
+    "5:(2,3)+(2,3)+(2,3)+(2,3)+(2,5)": (11, 10, 10, 2),
+    "5:(2,3)+(2,3)+(2,3)+(2,7)": (11, 10, 10, 2),
+    "5:(2,3)+(2,3)+(2,3)+(3,4)": (12, 11, 11, 1),
+    "5:(2,3)+(2,3)+(2,5)+(2,5)": (11, 10, 10, 2),
+    "5:(2,3)+(2,3)+(2,9)": (11, 10, 10, 2),
+    "5:(2,3)+(2,3)+(3,5)": (12, 11, 11, 1),
+    "5:(2,3)+(2,5)+(2,7)": (11, 10, 10, 2),
+    "5:(2,3)+(2,5)+(3,4)": (11, 10, 10, 1),
+    "5:(2,3)+(2,11)": (11, 10, 10, 2),
+    "5:(2,5)+(2,5)+(2,5)": (11, 10, 10, 2),
+    "5:(2,5)+(2,9)": (11, 10, 10, 2),
+    "5:(2,5)+(3,5)": (12, 11, 11, 1),
+    "5:(2,7)+(2,7)": (11, 10, 10, 2),
+    "5:(2,7)+(3,4)": (9, 8, 8, 1),
+    "5:(2,13)": (11, 10, 10, 2),
+    "5:(3,4)+(3,4)": (8, 7, 7, 0),
+    "5:(3,7)": (9, 8, 8, 0),
+    "5:(4,5)": (12, 11, 11, 1),
+}
+
+
+def _cap_name(recipe):
+    if recipe.kind in ("QuarticMin", "QuinticMin"):
+        cusps = "+".join(f"({c.p},{c.q})" for c in recipe.combo.cusps)
+        return f"{recipe.combo.degree}:{cusps}"
+    return f"{recipe.kind.removesuffix('_p')}{recipe.p or ''}"
+
+
+def test_each_caps_search_counters_are_frozen(monkeypatch):
+    count = [0, 0, 0]
+    real_dfs, real_candidates = lattice._Search.dfs, lattice._Search.candidates
+    real_distributions = lattice._distributions
+
+    def dfs(self, pos, leaves):
+        count[0] += 1
+        real_dfs(self, pos, leaves)
+
+    def counted(real, k):
+        def wrapper(*args):
+            for item in real(*args):
+                count[k] += 1
+                yield item
+
+        return wrapper
+
+    monkeypatch.setattr(lattice._Search, "dfs", dfs)
+    monkeypatch.setattr(lattice, "_distributions", counted(real_distributions, 1))
+    monkeypatch.setattr(lattice._Search, "candidates", counted(real_candidates, 2))
+    recipes = [family_cap(kind, p) for kind, p in BENCH_CAPS] + [
+        recipe
+        for d in (4, 5)
+        for combo, _ in gated_combos(d)
+        for recipe in [cap_for_combo(combo)]
+        if recipe is not None
+    ]
+    got = {}
+    for recipe in recipes:
+        count[:] = 0, 0, 0
+        found = len(enumerate_embeddings(build_cap(recipe)))
+        got[_cap_name(recipe)] = (*count, found)
+    assert got == SEARCH_COUNTERS
+
+
 def _numbered(sizes):
     # orbits of these sizes, their members numbered in order from 0
     starts = [sum(sizes[:o]) for o in range(len(sizes))]
@@ -361,11 +529,12 @@ def distribution_instances(draw):
     # join of the last units to the test
     values = draw(st.lists(st.sampled_from((2, 1, -1, -2)), unique=True, max_size=4))
     groups = [(v, draw(st.integers(1, 3))) for v in sorted(values, reverse=True)]
-    sizes = draw(st.lists(st.integers(1, 3), max_size=4))
-    orbits = _numbered(sizes)
     nu = draw(st.integers(0, 4))
-    cols = [tuple(draw(st.lists(st.integers(-2, 2), min_size=nu, max_size=nu)))
-            for _ in orbits]
+    # orbits have distinct nonzero columns, as the search's do
+    column = st.tuples(*[st.integers(-2, 2)] * nu).filter(any)
+    cols = draw(st.lists(column, unique=True, max_size=4 if nu else 0))
+    sizes = [draw(st.integers(1, 3)) for _ in cols]
+    orbits = _numbered(sizes)
     fresh_start = sum(sizes)
     placements = list(_unpruned(groups, orbits, [0] * len(orbits), fresh_start))
     if draw(st.booleans()):
@@ -384,10 +553,12 @@ def _filtered_placements(groups, sizes, cols, targets):
     # pair as required are, on orbits of these sizes
     orbits = _numbered(sizes)
     fresh_start = sum(sizes)
+    part = _partition(orbits, _rows(cols), len(targets))
+    owed = {u: r for u, r in enumerate(targets) if r}
     got = sorted(
         (tuple(sorted(items)), end)
         for items, end in lattice._distributions(
-            groups, orbits, _rows(cols), targets, fresh_start
+            groups, lattice._suffix_units(groups), part, owed
         )
     )
     want = sorted(
@@ -411,12 +582,12 @@ def test_distributions_match_the_filtered_placements(instance):
         # two units of one value in one orbit: two free members, then one
         ([(-1, 2)], [2], [(1,)], [-2], 1),
         ([(-1, 2)], [1], [(1,)], [-2], 0),
-        # o1 < o2 among equal rows, and o1 >= oi once the scan has
-        # placed the first of three units
-        ([(-1, 3)], [1, 1, 1], [(1,), (1,), (1,)], [-2], 3),
+        # o1 < o2 among rows that pay class 0 alike, and o1 >= oi once
+        # the scan has placed the first of three units
+        ([(-1, 3)], [1, 1, 1], [(1, 0), (1, 1), (1, -1)], [-2, 0], 1),
         # the same with the first unit of the next-to-last value, whose
         # partner may lie in an orbit below oi (class 0, orbit 2 only)
-        ([(-1, 2), (-2, 1)], [2, 1, 1], [(0, 1), (0, 1), (1, 0)], [-2, -2], 2),
+        ([(-1, 2), (-2, 1)], [2, 1, 1], [(0, 1), (0, 2), (1, 0)], [-2, -2], 2),
         # the unit of the last value in o1's own orbit, owed and not
         ([(-1, 1), (-2, 1)], [2], [(1,)], [-3], 1),
         ([(-1, 1), (-2, 1)], [1], [(1,)], [-3], 0),
@@ -470,8 +641,8 @@ def test_orbits_match_the_dense_columns(instance):
     # each index's column, as the search carries it: the (class, nonzero
     # coefficient) pairs in class order
     cols = [[(u, c[i]) for u, c in enumerate(cos) if c.get(i)] for i in range(n_used)]
-    orbits, rows = lattice._orbits(cols)
-    assert (orbits, _cols(rows, len(cos))) == _dense_orbits(cos, n_used)
+    members, rows = orbits(cols)
+    assert (members, _cols(rows, len(cos))) == _dense_orbits(cos, n_used)
 
 
 # ---------------------------------------------------------------- embeddings
