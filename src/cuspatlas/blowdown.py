@@ -225,12 +225,9 @@ def blow_down_trace(emb: Embedding) -> ConfigFingerprint:
         return below
 
     corner_pairs: set[tuple[int, int]] = set()
+    req = g.intersection_matrix()
     for x, y, z in g.corners:
-        orders = {
-            (x, y): g.pairing(x, y),
-            (x, z): g.pairing(x, z),
-            (y, z): g.pairing(y, z),
-        }
+        orders = {(x, y): req[x][y], (x, z): req[x][z], (y, z): req[y][z]}
         deep = [(pair, r) for pair, r in orders.items() if r > 1]
         if len(deep) > 1:
             raise ValueError("a corner admits at most one tangent pair")

@@ -35,13 +35,12 @@ from .cusp import (
     semigroup_condition,
     unicuspidal_families,
 )
-from .lattice import Embedding, HClass, ambient, complement_form
+from .lattice import Embedding, HClass
 from .lens import LensSpace, fibonacci_boundary, rational_ball_string
 from .lens import to_dict as lens_report
 from .lens import wahl_family
 from .obstruct import (
     arithmetic_verdicts,
-    cap_faults,
     classify_degree,
     image_dict,
     run_cap,
@@ -321,13 +320,12 @@ def cmd_cap(args) -> tuple[dict, list[str], Optional[str], int]:
 
 def cmd_embed(args) -> tuple[dict, list[str], Optional[str], int]:
     recipe, combo = _parse_cap(args.spec)
-    embs = run_cap(recipe).embeddings
+    cap = run_cap(recipe)
+    embs = cap.embeddings
     dicts = []
     n = len(embs)
     lines = [f"cap {recipe.kind}: {n} embedding{'s' if n != 1 else ''}"]
-    for e in embs:
-        with cap_faults(recipe):
-            amb, form = ambient(e), complement_form(e)
+    for e, amb, form in zip(embs, cap.ambients, cap.complements):
         dicts.append({**e.to_dict(), "ambient": amb, "complement": form.to_dict()})
         lines.append(
             f"  k={e.k} ambient {amb}, complement rank {form.rank} "
@@ -345,9 +343,9 @@ def cmd_blowdown(args) -> tuple[dict, list[str], Optional[str], int]:
     entries = []
     n = len(cap.embeddings)
     lines = [f"cap {recipe.kind}: {n} embedding{'s' if n != 1 else ''}"]
-    for e, trace, entry in zip(cap.embeddings, cap.fingerprints, cap.entries):
-        with cap_faults(recipe):
-            amb = ambient(e)
+    for e, amb, trace, entry in zip(
+        cap.embeddings, cap.ambients, cap.fingerprints, cap.entries
+    ):
         entries.append({"k": e.k, "ambient": amb, **image_dict(trace, entry)})
         lines.append(f"  k={e.k} {trace.summary()}")
         lines.append(f"    {entry.pattern}: {entry.status} ({entry.reason})")
@@ -402,12 +400,11 @@ def _unicuspidal_entry(cusp: CuspType, degree: int) -> dict:
         entry["note"] = "no stock cap recipe"
     else:
         entry["family"] = recipe.kind if recipe.p is None else f"{recipe.kind[0]}{recipe.p}"
-        embs = run_cap(recipe).embeddings
+        cap = run_cap(recipe)
+        embs, forms = cap.embeddings, cap.complements
         entry["count"] = len(embs)
         entry["ks"] = [e.k for e in embs]
-        with cap_faults(recipe):
-            entry["ambients"] = [ambient(e) for e in embs]
-            forms = [complement_form(e) for e in embs]
+        entry["ambients"] = cap.ambients
         entry["complement_dets"] = [form.det for form in forms]
         entry["complement_parities"] = [form.parity for form in forms]
         if recipe.kind == "B_p":

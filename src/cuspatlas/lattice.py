@@ -12,12 +12,13 @@ exceptional indices by orbit prefixes.  It generates only classes with
 the required pairings against the classes already placed.  The
 search records its assignment as each index's column, the (position,
 coefficient) pairs the placed classes put on it, pushed as it places a
-class and popped as it backs off.  With the columns it carries their
-orbits, the indices of equal column, each a run of consecutive indices
-read as its sparse row: placing a class cuts only the orbits it takes
-a prefix of and appends the fresh ones, and backing off merges them
-again, so no node regroups the columns.  A candidate's pairings are
-rechecked from the columns of its own indices.  A class is built
+class and popped as it backs off.  Each node also holds the orbits of
+its columns, the indices of equal column, each a run of consecutive
+indices read as its sparse row: a child builds its own from its
+parent's, cutting only the orbits its class takes a prefix of and
+appending the fresh ones, and drops them when the search backs off,
+so no node regroups the columns or undoes a cut.  A candidate's
+pairings are rechecked from the columns of its own indices.  A class is built
 one placement at a time (some units of one coefficient into a prefix
 of one orbit), and a branch is cut when a pairing still owed lies
 outside the range the coefficients left to place can add (each adds
@@ -261,15 +262,16 @@ def _bfs_order(g: PlumbingGraph) -> list[int]:
     return order
 
 
+@dataclass
 class _Orbits:
     """The indices in use, grouped into orbits of equal columns.
 
     An orbit is a run of consecutive indices: fresh indices open in runs
     of one value, and a placed class takes a prefix of each orbit it
     touches, one run per value.  Placing a class therefore cuts the
-    orbits it touches in place and appends the fresh ones.  An orbit is
-    named by its first member, so the orbits in first-member order are
-    the names in increasing order, and a cut renames no other orbit.
+    orbits it touches and appends the fresh ones.  An orbit is named by
+    its first member, so the orbits in first-member order are the names
+    in increasing order, and a cut renames no other orbit.
     - ends[s]: one past the last member of orbit s, 0 at an index that
       starts no orbit;
     - rows[s]: the row of orbit s, the column its members share (an
@@ -279,32 +281,28 @@ class _Orbits:
     - at[row]: the orbit with that row.  Rows are the distinct columns,
       and every index in use carries a class, so a row names one orbit
       and no orbit has the empty row.
-    push cuts the orbits for the class at the next position, and pop
-    undoes the last push, so a cut costs what the class touches.
+    placed returns the partition once the class at the next position is
+    placed and leaves its own unchanged, so a search node keeps its
+    partition while its children hold theirs.
     """
 
-    def __init__(self) -> None:
-        self.ends: list[int] = []
-        self.rows: list[Row] = []
-        # the root's class is h, which touches no index
-        self.by_class: list[list[tuple[int, int]]] = [[]]
-        self.at: dict[Row, int] = {}
-        # per push: the index count before it, and per cut orbit its
-        # name, end, row and the names of its pieces
-        self.cuts: list[tuple[int, list[tuple[int, int, Row, list[int]]]]] = []
+    ends: list[int]
+    rows: list[Row]
+    by_class: list[list[tuple[int, int]]]
+    at: dict[Row, int]
 
-    def push(self, items: Sequence[tuple[int, int]], new_used: int) -> None:
+    def placed(self, items: Sequence[tuple[int, int]], new_used: int) -> _Orbits:
         # the class puts coefficient c on each index i of items, and the
-        # indices from len(ends) to new_used are fresh
-        ends, rows, at, by_class = self.ends, self.rows, self.at, self.by_class
-        pos, n_used = len(by_class), len(ends)
+        # indices from len(ends) to new_used are fresh: one orbit with the
+        # empty row, all cut.  The lists are copies, and a class list that
+        # gains pieces is replaced, not spliced into
+        pos, n_used = len(self.by_class), len(self.ends)
+        ends = self.ends + [0] * (new_used - n_used)
+        rows = self.rows + [()] * (new_used - n_used)
         if new_used > n_used:
-            # the fresh indices: one orbit with the empty row, all cut
-            ends += [0] * (new_used - n_used)
-            rows += [()] * (new_used - n_used)
             ends[n_used] = new_used
+        at, by_class = dict(self.at), [*self.by_class]
         mine: list[tuple[int, int]] = []
-        cuts = []
         # i is one past the run of value v that starts at p, in the orbit
         # [s, e) with this row; a sentinel closes the last orbit
         i = e = 0
@@ -335,8 +333,8 @@ class _Orbits:
                     for u, c in row:
                         carried = by_class[u]
                         k = bisect_left(carried, (s,)) + 1
-                        carried[k:k] = [(q, c) for q in pieces[1:]]
-                cuts.append((s, e, row, pieces))
+                        added = [(q, c) for q in pieces[1:]]
+                        by_class[u] = carried[:k] + added + carried[k:]
             if val is None:
                 break
             s, e, row, pieces = j, ends[j], rows[j], []
@@ -344,25 +342,7 @@ class _Orbits:
                 raise RuntimeError(f"a class takes index {s} but not its orbit's prefix")
             p, v, i = j, val, j + 1
         by_class.append(mine)
-        self.cuts.append((n_used, cuts))
-
-    def pop(self) -> None:
-        ends, rows, at, by_class = self.ends, self.rows, self.at, self.by_class
-        n_used, cuts = self.cuts.pop()
-        by_class.pop()
-        for s, e, row, pieces in cuts:
-            for p in pieces:
-                del at[rows[p]]
-                ends[p] = 0
-            ends[s], rows[s] = e, row
-            if row:
-                at[row] = s
-            if len(pieces) > 1:
-                for u, _ in row:
-                    carried = by_class[u]
-                    k = bisect_left(carried, (s,)) + 1
-                    del carried[k:k + len(pieces) - 1]
-        del ends[n_used:], rows[n_used:]
+        return _Orbits(ends, rows, by_class, at)
 
 
 def _suffix_units(groups: Sequence[tuple[int, int]]) -> list[int]:
@@ -665,9 +645,9 @@ class _Search:
         # the search's record of its assignment: cols[i] holds the
         # (position, coefficient) pairs the placed classes put on e_i, one
         # column per index in use (the root's h puts none); orbits groups
-        # the indices by equal column, cut and restored with the columns
+        # the indices by equal column, the root's h touching none
         self.cols: list[list[tuple[int, int]]] = []
-        self.orbits = _Orbits()
+        self.orbits = _Orbits([], [], [[]], {})
 
     def candidates(self, pos: int) -> Iterator[tuple[list[tuple[int, int]], int]]:
         v, a0, targets = self.order[pos], self.a0s[pos], self.targets[pos]
@@ -706,16 +686,17 @@ class _Search:
             return
         # materialised so that no open generator holds its bound tables
         # while the search descends
+        parent = self.orbits
         for items, new_used in list(self.candidates(pos)):
             cols.extend([] for _ in range(new_used - n_used))
             for i, c in items:
                 cols[i].append((pos, c))
-            self.orbits.push(items, new_used)
+            self.orbits = parent.placed(items, new_used)
             self.dfs(pos + 1, leaves)
-            self.orbits.pop()
             for i, _ in items:
                 cols[i].pop()
             del cols[n_used:]
+        self.orbits = parent
 
 
 def enumerate_embeddings(g: PlumbingGraph) -> tuple[Embedding, ...]:

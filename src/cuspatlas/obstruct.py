@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, List, Optional, Sequence, Union
 
 from .blowdown import (
@@ -25,7 +26,7 @@ from .blowdown import (
     catalog_lookup,
 )
 from .cusp import CuspCombo, CuspType, Gate, gated_combos
-from .lattice import Embedding, ambient, complement_form, enumerate_embeddings
+from .lattice import Embedding, GramForm, ambient, complement_form, enumerate_embeddings
 from .plumbing import CapRecipe, PlumbingGraph, build_cap, cap_for_combo
 
 
@@ -138,7 +139,8 @@ def image_dict(f: ConfigFingerprint, entry: CatalogEntry) -> dict:
 class CapRun:
     """One cap through every stage: its graph, its adjunctive embeddings,
     the blow-down image and catalog entry of each, and the cap's
-    verdicts."""
+    verdicts.  Each embedding's ambient and complement form are read
+    on first use, under cap_faults, and kept with the run."""
 
     recipe: CapRecipe
     graph: PlumbingGraph
@@ -146,6 +148,16 @@ class CapRun:
     fingerprints: List[ConfigFingerprint]
     entries: List[CatalogEntry]
     verdicts: List[ObstructionVerdict]
+
+    @cached_property
+    def ambients(self) -> List[str]:
+        with cap_faults(self.recipe):
+            return [ambient(e) for e in self.embeddings]
+
+    @cached_property
+    def complements(self) -> List[GramForm]:
+        with cap_faults(self.recipe):
+            return [complement_form(e) for e in self.embeddings]
 
 
 @dataclass
@@ -162,11 +174,8 @@ class ClassificationRecord:
         cap = self.cap
         embeddings = [] if cap is None else cap.embeddings
         images = [] if cap is None else zip(cap.fingerprints, cap.entries)
-        forms, ambients = [], []
-        if cap is not None:
-            with cap_faults(cap.recipe):
-                forms = [complement_form(e).to_dict() for e in embeddings]
-                ambients = [ambient(e) for e in embeddings]
+        forms = [] if cap is None else [form.to_dict() for form in cap.complements]
+        ambients = [] if cap is None else cap.ambients
         return {
             "combo": str(self.combo),
             "degree": self.combo.degree,

@@ -84,15 +84,6 @@ class PlumbingGraph:
     def n(self) -> int:
         return len(self.eulers)
 
-    def pairing(self, u: int, v: int) -> int:
-        if u == v:
-            return self.eulers[u]
-        key = (u, v) if u < v else (v, u)
-        for a, b, order in self.edges:
-            if (a, b) == key:
-                return order
-        return 0
-
     def intersection_matrix(self) -> tuple[tuple[int, ...], ...]:
         """The pairing of every two vertices, built once per graph."""
         return self._pairings

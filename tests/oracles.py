@@ -5,7 +5,8 @@ continuant by its recurrence, the Riemenschneider dual through it,
 the normal crossing star of a single cusp, definiteness by leading
 minors, the bounded zero strings by a plain depth-first walk of the
 whole product space, the semigroup gate's gap tables as lists, and the
-embedding search's orbits regrouped from its columns.
+embedding search's orbits regrouped from its columns, with a check of
+the partition the search carries against them at every node.
 """
 
 from functools import reduce
@@ -147,3 +148,47 @@ def orbits(cols):
     for i, col in enumerate(cols):
         groups.setdefault(tuple(col), []).append(i)
     return list(groups.values()), list(groups)
+
+
+def partition(members, rows, n_classes):
+    """The (ends, rows, by_class, at) fields of the search's partition
+    for these orbits, runs of consecutive indices that tile 0..n-1 in
+    order, and their rows; an index that starts no orbit has end 0 and
+    the empty row."""
+    n = sum(map(len, members))
+    ends, row_of, at = [0] * n, [()] * n, {}
+    by_class = [[] for _ in range(n_classes)]
+    for m, row in zip(members, rows):
+        if m != list(range(m[0], m[0] + len(m))):
+            raise AssertionError(f"orbit {m} is not a run of consecutive indices")
+        ends[m[0]], row_of[m[0]], at[row] = m[0] + len(m), row, m[0]
+        for u, c in row:
+            by_class[u].append((m[0], c))
+    return ends, row_of, by_class, at
+
+
+def checked_dfs(dfs):
+    """_Search.dfs with two checks at every node, each raising
+    AssertionError: the partition the node holds is the one regrouped
+    from its columns, with distinct nonempty rows, and the branches
+    below it leave that partition as they found it, down to each
+    class's list, and hand it back."""
+
+    def fields(part):
+        return [*part.ends], [*part.rows], [[*c] for c in part.by_class], {**part.at}
+
+    def checked(search, pos, leaves):
+        part = search.orbits
+        members, rows = orbits(search.cols)
+        ends, _, by_class, at = partition(members, rows, pos)
+        starts = [part.rows[m[0]] for m in members]
+        if () in rows or (part.ends, starts, part.by_class, part.at) != (
+            ends, rows, by_class, at
+        ):
+            raise AssertionError(f"position {pos} holds orbits its columns do not give")
+        before = fields(part)
+        dfs(search, pos, leaves)
+        if search.orbits is not part or fields(part) != before:
+            raise AssertionError(f"the branches below position {pos} changed it")
+
+    return checked

@@ -7,7 +7,7 @@ from area_lp import area_feasible
 from caps import plus_one_caps
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import negative_definite, orbits
+from oracles import checked_dfs, negative_definite, orbits, partition
 
 from cuspatlas import cli, lattice
 from cuspatlas.blowdown import blow_down_trace, catalog_lookup
@@ -254,17 +254,8 @@ def _pairs_as_required(items, orbits, cols, targets):
 def _partition(members, rows, n_classes):
     # the orbits the search carries, for these orbits (runs of
     # consecutive indices that tile 0..n-1, in order) and their rows
-    part = lattice._Orbits()
-    n = sum(map(len, members))
-    part.ends, part.rows = [0] * n, [()] * n
-    part.by_class = [[] for _ in range(n_classes)]
-    for m, row in zip(members, rows):
-        assert m == list(range(m[0], m[0] + len(m)))
-        part.ends[m[0]], part.rows[m[0]], part.at[row] = m[0] + len(m), row, m[0]
-        for u, c in row:
-            part.by_class[u].append((m[0], c))
-    assert [m[0] for m in members] == sorted(part.at.values())
-    return part
+    assert [m[0] for m in members] == sorted(m[0] for m in members)
+    return lattice._Orbits(*partition(members, rows, n_classes))
 
 
 def _read(part):
@@ -382,50 +373,36 @@ def test_the_search_leaves_its_columns_empty():
 
 def test_a_class_off_an_orbit_prefix_is_an_internal_error():
     # e_0 and e_1 carry one column, so their orbit is cut only from e_0
-    part = lattice._Orbits()
-    part.push([(0, -1), (1, -1)], 2)
+    part = lattice._Orbits([], [], [[]], {}).placed([(0, -1), (1, -1)], 2)
     assert (part.ends, part.at) == ([2, 0], {((1, -1),): 0})
     with pytest.raises(RuntimeError, match="index 1 but not its orbit's prefix"):
-        part.push([(1, 1)], 2)
-    part.push([(0, 1)], 2)
-    assert (part.ends, part.by_class) == ([1, 2], [[], [(0, -1), (1, -1)], [(0, 1)]])
-
-
-def _initial(search):
-    # the columns and the carried orbits as a fresh search holds them
-    part = search.orbits
-    return search.cols, part.ends, part.rows, part.by_class, part.at, part.cuts
+        part.placed([(1, 1)], 2)
+    child = part.placed([(0, 1)], 2)
+    assert (child.ends, child.by_class) == ([1, 2], [[], [(0, -1), (1, -1)], [(0, 1)]])
+    assert (part.ends, part.by_class) == ([2, 0], [[], [(0, -1)]])
 
 
 def test_the_carried_orbits_are_the_orbits_of_the_columns(monkeypatch):
     # at every node the orbits carried down the branch equal the orbits
-    # regrouped from the columns from scratch, and a finished search
-    # holds them as a fresh one does
-    real = lattice._Search.dfs
+    # regrouped from the columns from scratch, the branches below leave
+    # them unchanged, and a finished search holds its initial partition
+    checked = checked_dfs(lattice._Search.dfs)
     searches, nodes = [], []
 
-    def checked(self, pos, leaves):
-        members, rows = orbits(self.cols)
-        assert () not in rows
-        want, part = _partition(members, rows, pos), self.orbits
-        assert part.ends == want.ends
-        assert [part.rows[m[0]] for m in members] == rows
-        assert part.by_class == want.by_class
-        assert part.at == want.at
+    def counted(self, pos, leaves):
         if pos == 1:
-            searches.append(self)
-        nodes.append(len(members))
-        real(self, pos, leaves)
+            searches.append((self, self.orbits))
+        nodes.append(len(self.orbits.at))
+        checked(self, pos, leaves)
 
-    monkeypatch.setattr(lattice._Search, "dfs", checked)
+    monkeypatch.setattr(lattice._Search, "dfs", counted)
     graphs = [cap(kind, p) for kind, p in BENCH_CAPS]
     graphs += [g for d in range(3, 7) for g in plus_one_caps(d)]
     for g in graphs:
         enumerate_embeddings(g)
     assert len(searches) > 200 and max(nodes) >= 20
-    fresh = _initial(lattice._Search(cap("A_p", 2)))
-    for search in searches:
-        assert _initial(search) == fresh == ([], [], [], [[]], {}, [])
+    for search, initial in searches:
+        assert search.orbits is initial == lattice._Orbits([], [], [[]], {})
 
 
 # per cap: _Search.dfs calls, _distributions items, _Search.candidates
@@ -826,10 +803,10 @@ def _isqrt_exact(n):
 def test_neutral_chain_vertices_carry_difference_classes():
     for kind, p in STOCK:
         g = cap(kind, p)
-        root = g.root
+        to_root = g.intersection_matrix()[g.root]
         for e in enumerate_embeddings(g):
             for v in range(g.n):
-                if g.eulers[v] == -2 and g.pairing(v, root) == 0:
+                if g.eulers[v] == -2 and to_root[v] == 0:
                     values = sorted(c for _, c in e.classes[v].coeffs)
                     assert values == [-1, 1]
 
