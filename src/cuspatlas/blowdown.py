@@ -2,14 +2,15 @@
 
 The classes of an embedding live in <h, e_0..e_{N-1}>.  Contracting the
 exceptional directions one at a time pushes the configuration forward
-to the plane: whenever some configuration sphere's class has been
-reduced to a bare e_k, that sphere is the next exceptional divisor and
-collapses to a point of the image; otherwise a generic sphere in the
-lowest available e_k is contracted instead.  Recording which curves
-pass through every collapsed point (with which multiplicity), and which
-earlier points ride on the collapsing sphere and so become infinitely
-near the new one, determines the complete local intersection data of
-the image curves.
+to the plane.  A degree-zero sphere e_a - sum(e_b) is the exceptional
+divisor at a once its tails e_b are contracted, and collapses to a
+point of the image; any other index is a generic sphere.  So the trace
+walks lattice._dominance_order once, every tail before its head, the
+order that also gives those classes positive area.  Recording which
+curves pass through every collapsed point (with which multiplicity),
+and which earlier points ride on the collapsing sphere and so become
+infinitely near the new one, determines the complete local
+intersection data of the image curves.
 
 The result is a ConfigFingerprint: component degrees plus clusters of
 weighted base points, each point holding the points infinitely near
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Optional, Sequence
 
-from .lattice import Embedding
+from .lattice import Embedding, _dominance_order
 
 OBSTRUCTED = "Obstructed"
 UNIQUE = "UniqueIsotopy"
@@ -92,9 +93,13 @@ class ConfigFingerprint:
                     raise ValueError(f"a point names unknown component {c}")
                 if m < 1:
                     raise ValueError("multiplicities must be positive")
+        meets: Dict[tuple[int, int], int] = {}
+        for p in points:
+            for (u, mu), (v, mv) in combinations(sorted(p.mults.items()), 2):
+                meets[u, v] = meets.get((u, v), 0) + mu * mv
         for u in range(len(self.degrees)):
             for v in range(u + 1, len(self.degrees)):
-                total = sum(p.mults.get(u, 0) * p.mults.get(v, 0) for p in points)
+                total = meets.get((u, v), 0)
                 if total != self.degrees[u] * self.degrees[v]:
                     raise ValueError(
                         f"components {u},{v} meet {total} times, "
@@ -204,16 +209,14 @@ def blow_down_trace(emb: Embedding) -> ConfigFingerprint:
     Pushing forward never changes a coefficient, it only deletes the
     contracted coordinate, so a curve passes through the point created
     at index k exactly when its class had a negative e_k coefficient,
-    with multiplicity the negated coefficient.  Points previously
-    created on a configuration sphere become infinitely near the point
-    that sphere collapses to.  The pre-existing meets of the cap are
-    seeded as contact chains so that every intersection of the final
-    image curves is accounted for.
+    with multiplicity the negated coefficient.  The indices that no
+    degree-zero class names go first, then the rest in _dominance_order:
+    each degree-zero sphere collapses at its head, and the points still
+    on it become infinitely near that point.  The pre-existing meets of
+    the cap are seeded as contact chains so that every intersection of
+    the final image curves is accounted for.  A cycle raises ValueError.
     """
     g = emb.graph
-    coeff = [dict(c.coeffs) for c in emb.classes]
-    a0 = [c.a0 for c in emb.classes]
-    active = set(range(g.n))
     roots: list[PointNode] = []
 
     def chain(u: int, v: int, order: int) -> tuple[PointNode, ...]:
@@ -241,49 +244,29 @@ def blow_down_trace(emb: Embedding) -> ConfigFingerprint:
         if (u, v) not in corner_pairs:
             roots.extend(chain(u, v, order))
 
-    remaining = set(range(emb.n_used))
-    steps = 0
-    while remaining:
-        shrink = None
-        for v in sorted(active):
-            if a0[v] == 0 and len(coeff[v]) == 1:
-                ((k, c),) = coeff[v].items()
-                if c == 1 and (shrink is None or k < shrink[0]):
-                    shrink = (k, v)
-        if shrink is not None:
-            k, v = shrink
-            m = {
-                u: -coeff[u][k]
-                for u in active
-                if u != v and coeff[u].get(k, 0) < 0
-            }
-            near = tuple(r for r in roots if v in r.mults)
+    zero = {v: dict(c.coeffs) for v, c in enumerate(emb.classes) if c.a0 == 0}
+    ordered = _dominance_order(zero.values())
+    if ordered is None:
+        classes = ", ".join(str(emb.classes[v]) for v in zero)
+        raise ValueError(f"the degree-zero classes {classes} close a dominance cycle")
+    heads = {k: v for v, row in zero.items() for k, c in row.items() if c == 1}
+    # each index's column: the curves through the point it contracts to
+    cols: list[dict[int, int]] = [{} for _ in range(emb.n_used)]
+    for v, c in enumerate(emb.classes):
+        for k, x in c.coeffs:
+            if x < 0:
+                cols[k][v] = -x
+    named = set(ordered)
+    for k in [k for k in range(emb.n_used) if k not in named] + ordered:
+        v = heads.get(k)
+        near = () if v is None else tuple(r for r in roots if v in r.mults)
+        if near:
             roots = [r for r in roots if v not in r.mults]
-            roots.append(PointNode(m, near))
-            active.remove(v)
-        else:
-            free = (
-                k
-                for k in sorted(remaining)
-                if all(coeff[u].get(k, 0) <= 0 for u in active)
-            )
-            k = next(free, None)
-            if k is None:
-                raise RuntimeError("blow-down deadlock: every index is held up")
-            m = {u: -coeff[u][k] for u in active if coeff[u].get(k, 0) < 0}
-            roots.append(PointNode(m))
-        for u in active:
-            coeff[u].pop(k, None)
-        remaining.discard(k)
-        steps += 1
-    if steps != emb.n_used:
-        raise RuntimeError("blow-down took the wrong number of steps")
+        roots.append(PointNode(cols[k], near))
 
-    survivors = sorted(active)
-    if not all(a0[v] > 0 and not coeff[v] for v in survivors):
-        raise RuntimeError("blow-down left an exceptional class behind")
+    survivors = [v for v, c in enumerate(emb.classes) if c.a0]
     return ConfigFingerprint(
-        tuple(a0[v] for v in survivors),
+        tuple(emb.classes[v].a0 for v in survivors),
         tuple(g.labels[v] for v in survivors),
         _prune(roots, {v: i for i, v in enumerate(survivors)}),
     )

@@ -28,12 +28,13 @@ as they must pay what is owed exactly.  The orbit prefixes generate
 each assignment once, and a repeat is an internal error.  Complete
 assignments that no positive area form supports are dropped: for the
 degree-zero classes that is exactly a cycle in their dominance graph,
-tested once per assignment, so no linear program runs.  A leaf
-relabels its indices canonically from the columns, and the results are
-sorted, so repeated runs agree bit for bit.  Each result checks itself
-from its own classes, not from the search's columns: adjunction per
-vertex, and a Gram matrix read index by index against the graph's
-pairings.  The Gram check is also what refuses a +1 on one index in
+and _dominance_order, the one place that order lives, peels it once
+per assignment, so no linear program runs (the blow-down walks the
+same order).  A leaf relabels its indices canonically from the
+columns, and the results are sorted, so repeated runs agree bit for
+bit.  Each result checks itself from its own classes, not from the
+search's columns: adjunction per vertex, and a Gram matrix read index
+by index against the graph's pairings.  The Gram check is also what refuses a +1 on one index in
 two classes: only degree-zero classes carry a +1, two that share it
 pair to at most -1, and a cap's graph asks 0 or more.
 """
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from graphlib import CycleError, TopologicalSorter
 from itertools import accumulate, groupby, repeat
 from math import isqrt
 from operator import floordiv, mod
@@ -588,28 +588,37 @@ def _canonical_classes(
     return tuple(HClass(a0, tuple(co)) for a0, co in zip(a0s, coeffs))
 
 
-def _area_positive(zero_rows: Iterable[Mapping[int, int]]) -> bool:
-    """Does some area form give every degree-zero class in zero_rows
-    positive area?
+def _dominance_order(zero_rows: Iterable[Mapping[int, int]]) -> list[int] | None:
+    """The indices the degree-zero classes in zero_rows name, each once
+    and every tail before its head, or None on a cycle.
 
-    Degree-zero classes are the only ones an area form can starve:
-    anything with a0 > 0 is fed by a large enough w(h).  Each one is
-    e_a - sum(e_b for b in S), of positive area iff w(e_a) > sum(w(e_b)),
-    read as edges a -> b.  A cycle through a would force w(e_a) > w(e_a);
-    without one, weights given in reverse topological order, each 1 more
-    than the sum over its successors, satisfy every row.
+    Each class is e_a - sum(e_b for b in S), of positive area iff
+    w(e_a) > sum(w(e_b)), read as edges a -> b.  A cycle through a would
+    force w(e_a) > w(e_a); without one, weights given along the order,
+    each 1 more than the sum over its tails, satisfy every row, and
+    anything with a0 > 0 is fed by a large enough w(h).  The blow-down
+    contracts along the same order.  A Kahn peel: each index waits for
+    the tails of the classes it heads.
     """
-    edges: dict[int, list[int]] = {}
+    waits: dict[int, set[int]] = {}
+    held: dict[int, set[int]] = {}
     for row in zero_rows:
         heads = [i for i, c in row.items() if c == 1]
         if len(heads) != 1 or any(c not in (1, -1) for c in row.values()):
             raise ValueError(f"not a degree-zero sphere class: {dict(row)}")
-        edges.setdefault(heads[0], []).extend(i for i, c in row.items() if c == -1)
-    try:
-        TopologicalSorter(edges).prepare()
-    except CycleError:
-        return False
-    return True
+        for b in row:
+            waits.setdefault(b, set())
+            if b != heads[0]:
+                held.setdefault(b, set()).add(heads[0])
+        waits[heads[0]].update(b for b in row if b != heads[0])
+    order = [a for a, tails in waits.items() if not tails]
+    # the list grows behind the loop as heads come free
+    for b in order:
+        for a in held.get(b, ()):
+            waits[a].discard(b)
+            if not waits[a]:
+                order.append(a)
+    return order if len(order) == len(waits) else None
 
 
 class _Search:
@@ -710,7 +719,8 @@ def enumerate_embeddings(g: PlumbingGraph) -> tuple[Embedding, ...]:
     generated pairs as required.  Each complete assignment is generated
     once, so two equal leaves are an internal error (RuntimeError), and
     it is kept iff its degree-zero classes leave their dominance graph
-    (e_a -> e_b for each class e_a - ... - e_b - ...) without a cycle.
+    (e_a -> e_b for each class e_a - ... - e_b - ...) without a cycle,
+    that is, iff _dominance_order finds them an order.
     Output order and labelling are the same on every run.
     """
     search = _Search(g)
@@ -724,7 +734,7 @@ def enumerate_embeddings(g: PlumbingGraph) -> tuple[Embedding, ...]:
             raise RuntimeError(f"the search yields one embedding twice: {a.to_dict()}")
     return tuple(
         e for e in leaves
-        if _area_positive(dict(c.coeffs) for c in e.classes if c.a0 == 0)
+        if _dominance_order(dict(c.coeffs) for c in e.classes if c.a0 == 0) is not None
     )
 
 

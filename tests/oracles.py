@@ -4,14 +4,19 @@ Each one recomputes a fact the library reaches another way: the
 continuant by its recurrence, the Riemenschneider dual through it,
 the normal crossing star of a single cusp, definiteness by leading
 minors, the bounded zero strings by a plain depth-first walk of the
-whole product space, the semigroup gate's gap tables as lists, and the
+whole product space, the semigroup gate's gap tables as lists, the
 embedding search's orbits regrouped from its columns, with a check of
-the partition the search carries against them at every node.
+the partition the search carries against them at every node, and the
+blow-down found step by step: at each step it rescans every class still
+in play for a sphere reduced to a bare e_k, and failing one contracts
+the lowest index that no such class still holds up.
 """
 
 from functools import reduce
 
+from cuspatlas.blowdown import ConfigFingerprint, PointNode, _prune
 from cuspatlas.cf import cf_expand
+from cuspatlas.lattice import Embedding
 from cuspatlas.linalg import int_det
 from cuspatlas.plumbing import PlumbingGraph, _apply_mode, _resolve_cusp, _Surface
 
@@ -192,3 +197,95 @@ def checked_dfs(dfs):
             raise AssertionError(f"the branches below position {pos} changed it")
 
     return checked
+
+
+def blow_down_trace(emb: Embedding) -> ConfigFingerprint:
+    """Contract all exceptional directions of the embedding and report
+    the fingerprint of the resulting plane configuration.
+
+    Pushing forward never changes a coefficient, it only deletes the
+    contracted coordinate, so a curve passes through the point created
+    at index k exactly when its class had a negative e_k coefficient,
+    with multiplicity the negated coefficient.  Points previously
+    created on a configuration sphere become infinitely near the point
+    that sphere collapses to.  The pre-existing meets of the cap are
+    seeded as contact chains so that every intersection of the final
+    image curves is accounted for.
+    """
+    g = emb.graph
+    coeff = [dict(c.coeffs) for c in emb.classes]
+    a0 = [c.a0 for c in emb.classes]
+    active = set(range(g.n))
+    roots: list[PointNode] = []
+
+    def chain(u: int, v: int, order: int) -> tuple[PointNode, ...]:
+        # contact of this order: a chain of points on {u, v}, built
+        # from its deepest point up
+        below: tuple[PointNode, ...] = ()
+        for _ in range(order):
+            below = (PointNode({u: 1, v: 1}, below),)
+        return below
+
+    corner_pairs: set[tuple[int, int]] = set()
+    req = g.intersection_matrix()
+    for x, y, z in g.corners:
+        orders = {(x, y): req[x][y], (x, z): req[x][z], (y, z): req[y][z]}
+        deep = [(pair, r) for pair, r in orders.items() if r > 1]
+        if len(deep) > 1:
+            raise ValueError("a corner admits at most one tangent pair")
+        near: tuple[PointNode, ...] = ()
+        if deep:
+            (u, v), r = deep[0]
+            near = chain(u, v, r - 1)
+        roots.append(PointNode({x: 1, y: 1, z: 1}, near))
+        corner_pairs.update(orders)
+    for u, v, order in g.edges:
+        if (u, v) not in corner_pairs:
+            roots.extend(chain(u, v, order))
+
+    remaining = set(range(emb.n_used))
+    steps = 0
+    while remaining:
+        shrink = None
+        for v in sorted(active):
+            if a0[v] == 0 and len(coeff[v]) == 1:
+                ((k, c),) = coeff[v].items()
+                if c == 1 and (shrink is None or k < shrink[0]):
+                    shrink = (k, v)
+        if shrink is not None:
+            k, v = shrink
+            m = {
+                u: -coeff[u][k]
+                for u in active
+                if u != v and coeff[u].get(k, 0) < 0
+            }
+            near = tuple(r for r in roots if v in r.mults)
+            roots = [r for r in roots if v not in r.mults]
+            roots.append(PointNode(m, near))
+            active.remove(v)
+        else:
+            free = (
+                k
+                for k in sorted(remaining)
+                if all(coeff[u].get(k, 0) <= 0 for u in active)
+            )
+            k = next(free, None)
+            if k is None:
+                raise RuntimeError("blow-down deadlock: every index is held up")
+            m = {u: -coeff[u][k] for u in active if coeff[u].get(k, 0) < 0}
+            roots.append(PointNode(m))
+        for u in active:
+            coeff[u].pop(k, None)
+        remaining.discard(k)
+        steps += 1
+    if steps != emb.n_used:
+        raise RuntimeError("blow-down took the wrong number of steps")
+
+    survivors = sorted(active)
+    if not all(a0[v] > 0 and not coeff[v] for v in survivors):
+        raise RuntimeError("blow-down left an exceptional class behind")
+    return ConfigFingerprint(
+        tuple(a0[v] for v in survivors),
+        tuple(g.labels[v] for v in survivors),
+        _prune(roots, {v: i for i, v in enumerate(survivors)}),
+    )

@@ -8,7 +8,9 @@ counts (Bezout closure pins most of them down uniquely).
 
 import random
 
+import oracles
 import pytest
+from caps import plus_one_caps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -397,6 +399,23 @@ def test_index_labels_do_not_change_summaries_or_verdicts():
 
 
 # ------------------------------------------------- one-cusp families
+
+
+def test_the_trace_matches_the_rescan_oracle():
+    # one walk of the dominance order against the step-by-step rescan
+    # it replaced: the same image, shape and catalog verdict
+    graphs = [build_cap(family_cap("A_p", p)) for p in range(2, 41)]
+    graphs += [build_cap(family_cap("B_p", p)) for p in range(2, 19)]
+    graphs += [build_cap(family_cap(kind, None)) for kind in ("E3", "E6")]
+    graphs += [g for d in range(3, 7) for g in plus_one_caps(d)]
+    embs = [e for g in graphs for e in enumerate_embeddings(g)]
+    assert (len(graphs), len(embs)) == (303, 408)
+    for e in embs:
+        got, want = blow_down_trace(e), oracles.blow_down_trace(e)
+        assert got.to_dict() == want.to_dict(), e.to_dict()
+        assert got.summary() == want.summary(), e.to_dict()
+        a, b = catalog_lookup(got), catalog_lookup(want)
+        assert (a.pattern, a.status) == (b.pattern, b.status), e.to_dict()
 
 
 def test_torus_family_caps_blow_down_to_two_lines():

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from cuspatlas import cli, lattice, obstruct
+from cuspatlas import blowdown, cli, lattice, obstruct
 from cuspatlas.cli import main
 from cuspatlas.cusp import enumerate_combos, semigroup_condition
 from cuspatlas.lattice import HClass, enumerate_embeddings
@@ -344,13 +344,13 @@ def test_usage_errors_exit_1():
 
 def test_internal_error_exits_3(monkeypatch):
     def broken(degree):
-        raise RuntimeError("blow-down deadlock: every index is held up")
+        raise RuntimeError("an engine invariant failed")
 
     monkeypatch.setattr(cli, "classify_degree", broken)
     code, out, err = run("classify", "--degree", "4")
     assert code == 3
     assert out == ""
-    assert err == "atlas: internal error: blow-down deadlock: every index is held up\n"
+    assert err == "atlas: internal error: an engine invariant failed\n"
 
 
 def test_a_stage_failing_its_own_check_exits_3(monkeypatch):
@@ -377,6 +377,20 @@ def test_a_stage_failing_its_own_check_exits_3(monkeypatch):
         assert (code, out) == (3, ""), argv
         assert err.startswith("atlas: internal error: cap A_p for "), argv
         assert why in err, argv
+
+
+def test_a_trace_with_no_dominance_order_exits_3(monkeypatch):
+    # the search keeps only leaves whose degree-zero classes have an
+    # order, so a trace that finds none is the engine's fault: a
+    # ValueError, which cap_faults turns into exit 3 with the cap named
+    monkeypatch.setattr(blowdown, "_dominance_order", lambda zero_rows: None)
+    (emb,) = enumerate_embeddings(build_cap(family_cap("A_p", 3)))
+    with pytest.raises(ValueError, match="close a dominance cycle"):
+        blowdown.blow_down_trace(emb)
+    code, out, err = run("blowdown", "A", "3")
+    assert (code, out) == (3, "")
+    assert err.startswith("atlas: internal error: cap A_p for ")
+    assert "close a dominance cycle" in err
 
 
 @pytest.mark.parametrize(
@@ -447,7 +461,7 @@ def counted(self, *args, **kwargs):
     built.append(kwargs.get("prog"))
     init(self, *args, **kwargs)
 argparse.ArgumentParser.__init__ = counted
-from cuspatlas import cli, lattice, obstruct
+from cuspatlas import blowdown, cli, lattice, obstruct
 for argv in {argvs!r}:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         cli.main(list(argv))

@@ -136,35 +136,46 @@ def test_dominance_cycle_agrees_with_the_area_lp(rows):
     # whole row sets, as a leaf hands them over; heads may repeat here
     rows = [{a: 1, **{b: -1 for b in rest}} for a, rest in rows]
     want = area_feasible([HClass.make(0, r) for r in rows])
-    assert lattice._area_positive(rows) == want
+    order = lattice._dominance_order(rows)
+    assert (order is not None) == want
+    if order is not None:
+        # each index the rows name once, every tail before its head
+        assert sorted(order) == sorted({i for r in rows for i in r})
+        at = {i: n for n, i in enumerate(order)}
+        for r in rows:
+            (head,) = [i for i, c in r.items() if c == 1]
+            assert all(at[i] < at[head] for i, c in r.items() if c == -1)
 
 
 def test_dominance_cycle_shapes():
-    assert lattice._area_positive([])
-    assert lattice._area_positive([{0: 1}, {1: 1, 0: -1}])
-    assert not lattice._area_positive([{0: 1, 1: -1, 2: -1}, {1: 1, 0: -1, 2: -1}])
+    def ordered(rows):
+        return lattice._dominance_order(rows) is not None
+
+    assert ordered([])
+    assert ordered([{0: 1}, {1: 1, 0: -1}])
+    assert not ordered([{0: 1, 1: -1, 2: -1}, {1: 1, 0: -1, 2: -1}])
     # 2 -> 0 -> 1 and a row 1 -> 2 close a cycle; a row 3 -> 2 closes none
     chain = [{2: 1, 0: -1}, {0: 1, 1: -1}]
-    assert not lattice._area_positive([*chain, {1: 1, 2: -1}])
-    assert lattice._area_positive([*chain, {3: 1, 2: -1}])
+    assert not ordered([*chain, {1: 1, 2: -1}])
+    assert ordered([*chain, {3: 1, 2: -1}])
     # a repeated head keeps the edges of both its rows
-    assert not lattice._area_positive([{0: 1, 1: -1}, {0: 1, 2: -1}, {2: 1, 0: -1}])
+    assert not ordered([{0: 1, 1: -1}, {0: 1, 2: -1}, {2: 1, 0: -1}])
     with pytest.raises(ValueError):
-        lattice._area_positive([{0: 1, 1: 1}])
+        lattice._dominance_order([{0: 1, 1: 1}])
     with pytest.raises(ValueError):
-        lattice._area_positive([{0: 2, 1: -1}])
+        lattice._dominance_order([{0: 2, 1: -1}])
 
 
 def test_the_search_cuts_what_the_cycle_check_reports(monkeypatch):
     # every embedding of A3 places degree-zero classes, so a check that
     # always reports a cycle must leave nothing
     assert enumerate_embeddings(cap("A_p", p=3))
-    monkeypatch.setattr(lattice, "_area_positive", lambda zero_rows: False)
+    monkeypatch.setattr(lattice, "_dominance_order", lambda zero_rows: None)
     assert enumerate_embeddings(cap("A_p", p=3)) == ()
 
 
 def test_the_check_sees_each_leafs_degree_zero_classes(monkeypatch):
-    real = lattice._area_positive
+    real = lattice._dominance_order
     calls = []
 
     def wrapper(zero_rows):
@@ -172,7 +183,7 @@ def test_the_check_sees_each_leafs_degree_zero_classes(monkeypatch):
         calls.append(sorted(sorted(row.items()) for row in rows))
         return real(rows)
 
-    monkeypatch.setattr(lattice, "_area_positive", wrapper)
+    monkeypatch.setattr(lattice, "_dominance_order", wrapper)
     for kind, p in (("A_p", 5), ("B_p", 3), ("E6", None)):
         start = len(calls)
         embs = enumerate_embeddings(cap(kind, p))
