@@ -256,19 +256,35 @@ def blow_down_trace(emb: Embedding) -> ConfigFingerprint:
         for k, x in c.coeffs:
             if x < 0:
                 cols[k][v] = -x
+    # the live roots, and those on each collapsing sphere, in the order
+    # they were made; an adoption costs only the points it moves
+    live: dict[PointNode, None] = {}
+    on: dict[int, dict[PointNode, None]] = {v: {} for v in heads.values()}
+
+    def place(r: PointNode) -> None:
+        live[r] = None
+        for u in r.mults:
+            if u in on:
+                on[u][r] = None
+
+    for r in roots:
+        place(r)
     named = set(ordered)
     for k in [k for k in range(emb.n_used) if k not in named] + ordered:
         v = heads.get(k)
-        near = () if v is None else tuple(r for r in roots if v in r.mults)
-        if near:
-            roots = [r for r in roots if v not in r.mults]
-        roots.append(PointNode(cols[k], near))
+        near = () if v is None else tuple(on[v])
+        for r in near:
+            del live[r]
+            for u in r.mults:
+                if u in on:
+                    del on[u][r]
+        place(PointNode(cols[k], near))
 
     survivors = [v for v, c in enumerate(emb.classes) if c.a0]
     return ConfigFingerprint(
         tuple(emb.classes[v].a0 for v in survivors),
         tuple(g.labels[v] for v in survivors),
-        _prune(roots, {v: i for i, v in enumerate(survivors)}),
+        _prune(list(live), {v: i for i, v in enumerate(survivors)}),
     )
 
 

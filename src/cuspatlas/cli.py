@@ -11,6 +11,9 @@ A reader that closes stdout early, as `| head` does, cuts the output
 short without a traceback; the status stays the command's own.
 The --json text is that of json.dumps(report, indent=2), built by a
 direct writer (`_json_text`) that refuses non-JSON values with exit 3.
+Each subcommand loads only the stages it runs: a command, or a helper
+that uses an engine name, imports it at the top of its body from the
+module that owns it, so `lens` starts without loading the cap engine.
 """
 
 from __future__ import annotations
@@ -22,38 +25,14 @@ from dataclasses import replace
 from itertools import combinations
 from json.encoder import encode_basestring_ascii as _quote
 from math import isqrt
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
-from .cusp import (
-    CuspCombo,
-    CuspType,
-    family_combo,
-    fibonacci_cusp,
-    fibonacci_index,
-    ms_recognize,
-    semigroup_condition,
-    unicuspidal_families,
-)
-from .lattice import Embedding, HClass
-from .lens import LensSpace, fibonacci_boundary, rational_ball_string
-from .lens import to_dict as lens_report
-from .lens import wahl_family
-from .obstruct import (
-    arithmetic_verdicts,
-    classify_degree,
-    image_dict,
-    run_cap,
-)
-from .plumbing import (
-    CapRecipe,
-    PlumbingGraph,
-    build_cap,
-    cap_for_combo,
-    curve_resolution,
-    family_cap,
-    named_cap,
-)
+
+if TYPE_CHECKING:
+    from .cusp import CuspCombo, CuspType
+    from .lattice import Embedding, HClass
+    from .plumbing import CapRecipe, PlumbingGraph
 
 
 class UsageError(Exception):
@@ -61,6 +40,7 @@ class UsageError(Exception):
 
 
 def _parse_cusp(text: str) -> CuspType:
+    from .cusp import CuspType
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError(f"a cusp is written p,q not {text!r}")
@@ -73,6 +53,7 @@ def _parse_cusp(text: str) -> CuspType:
 
 def _parse_combo(text: str) -> CuspCombo:
     """Read "2,3+2,5" and infer the degree from the genus budget."""
+    from .cusp import CuspCombo
     cusps = tuple(_parse_cusp(part) for part in text.split("+"))
     total = sum(c.delta for c in cusps)
     d = (3 + isqrt(8 * total + 1)) // 2
@@ -88,6 +69,7 @@ def _parse_cap(spec: Sequence[str]) -> tuple[CapRecipe, Optional[CuspCombo]]:
 
     Returns the recipe, and the combination when the spec is one.
     """
+    from .plumbing import cap_for_combo, family_cap
     if not spec:
         raise UsageError("cap spec missing")
     head = spec[0]
@@ -113,6 +95,7 @@ def _parse_cap(spec: Sequence[str]) -> tuple[CapRecipe, Optional[CuspCombo]]:
 
 
 def _parse_family(text: str) -> CuspCombo:
+    from .cusp import family_combo
     name = text.replace("_", "")
     if name in ("E3", "E6"):
         return family_combo(name)
@@ -223,6 +206,8 @@ def _gate_failures(combo: Optional[CuspCombo], results: dict, lines: list[str]) 
     The failed rules go into the results and the text; True if any
     failed.  Named families (no combination) are left as they are.
     """
+    from .cusp import semigroup_condition
+    from .obstruct import arithmetic_verdicts
     if combo is None:
         return False
     verdicts = arithmetic_verdicts(combo, semigroup_condition(combo))
@@ -234,6 +219,7 @@ def _gate_failures(combo: Optional[CuspCombo], results: dict, lines: list[str]) 
 
 def _sphere_class(emb: Embedding) -> Optional[HClass]:
     """The complement class e_a - e_b - e_c - e_d if the filling has one."""
+    from .lattice import HClass
     for quad in combinations(range(emb.n_used), 4):
         for pos in quad:
             rest = {i: -1 for i in quad if i != pos}
@@ -244,6 +230,7 @@ def _sphere_class(emb: Embedding) -> Optional[HClass]:
 
 
 def cmd_invariants(args) -> tuple[dict, list[str], Optional[str], int]:
+    from .cusp import CuspType, ms_recognize
     if args.seq is not None:
         if args.p is not None:
             raise UsageError("give either p q or --seq, not both")
@@ -277,6 +264,7 @@ def cmd_invariants(args) -> tuple[dict, list[str], Optional[str], int]:
 
 
 def cmd_resolve(args) -> tuple[dict, list[str], Optional[str], int]:
+    from .plumbing import curve_resolution
     combo = _parse_combo(args.combo)
     if args.modes is None:
         modes = ("nc",) * len(combo.cusps)
@@ -304,6 +292,7 @@ def cmd_resolve(args) -> tuple[dict, list[str], Optional[str], int]:
 
 
 def cmd_cap(args) -> tuple[dict, list[str], Optional[str], int]:
+    from .plumbing import build_cap
     recipe, combo = _parse_cap(args.spec)
     g = build_cap(recipe)
     inputs = {"spec": list(args.spec)}
@@ -319,6 +308,7 @@ def cmd_cap(args) -> tuple[dict, list[str], Optional[str], int]:
 
 
 def cmd_embed(args) -> tuple[dict, list[str], Optional[str], int]:
+    from .obstruct import run_cap
     recipe, combo = _parse_cap(args.spec)
     cap = run_cap(recipe)
     embs = cap.embeddings
@@ -338,6 +328,7 @@ def cmd_embed(args) -> tuple[dict, list[str], Optional[str], int]:
 
 
 def cmd_blowdown(args) -> tuple[dict, list[str], Optional[str], int]:
+    from .obstruct import image_dict, run_cap
     recipe, combo = _parse_cap(args.spec)
     cap = run_cap(recipe)
     entries = []
@@ -358,6 +349,7 @@ def cmd_blowdown(args) -> tuple[dict, list[str], Optional[str], int]:
 
 
 def cmd_classify(args) -> tuple[dict, list[str], Optional[str], int]:
+    from .obstruct import classify_degree
     records = classify_degree(args.degree)
     dicts = [r.to_dict() for r in records]
     tally: dict[str, int] = {}
@@ -379,8 +371,9 @@ def cmd_classify(args) -> tuple[dict, list[str], Optional[str], int]:
 
 
 def cmd_lens(args) -> tuple[dict, list[str], Optional[str], int]:
+    from .lens import LensSpace, to_dict
     L = LensSpace(args.p, args.q)
-    results = lens_report(L)
+    results = to_dict(L)
     lines = [f"{L}: bounds {results['bounds']}"]
     if results["wahl"] is not None:
         m, k = results["wahl"]
@@ -392,6 +385,10 @@ def cmd_lens(args) -> tuple[dict, list[str], Optional[str], int]:
 
 
 def _unicuspidal_entry(cusp: CuspType, degree: int) -> dict:
+    from .cusp import CuspCombo, fibonacci_cusp, fibonacci_index
+    from .lens import fibonacci_boundary, rational_ball_string, wahl_family
+    from .obstruct import run_cap
+    from .plumbing import cap_for_combo, named_cap
     combo = CuspCombo(degree, (cusp,))
     recipe = named_cap(cusp, degree) or cap_for_combo(combo)
     entry: dict = {"cusp": [cusp.p, cusp.q], "degree": degree}
@@ -461,6 +458,7 @@ def _unicuspidal_lines(entry: dict) -> list[str]:
 
 
 def cmd_unicuspidal(args) -> tuple[dict, list[str], Optional[str], int]:
+    from .cusp import unicuspidal_families
     if (args.family is None) == (args.degree is None):
         raise UsageError("unicuspidal needs exactly one of --degree or --family")
     if args.family is not None:

@@ -346,7 +346,7 @@ def test_internal_error_exits_3(monkeypatch):
     def broken(degree):
         raise RuntimeError("an engine invariant failed")
 
-    monkeypatch.setattr(cli, "classify_degree", broken)
+    monkeypatch.setattr(obstruct, "classify_degree", broken)
     code, out, err = run("classify", "--degree", "4")
     assert code == 3
     assert out == ""
@@ -423,9 +423,12 @@ def _python(*args):
 
 
 def test_docstrings_stripped_by_python_OO_leave_the_commands_working():
-    code, out, err = _python("-OO", "-m", "cuspatlas.cli", "lens", "25", "4", "--json")
-    assert (code, err) == (0, "")
-    assert json.loads(out)["command"] == "lens"
+    # each command loads only its own stages, so lens alone would not
+    # load the cap engine under -OO
+    for argv in (("lens", "25", "4"), ("blowdown", "A", "3"), ("classify", "--degree", "4")):
+        code, out, err = _python("-OO", "-m", "cuspatlas.cli", *argv, "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["command"] == argv[0]
 
 
 # a usage error first, so that the parser is reused after it has failed
