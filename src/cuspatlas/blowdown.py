@@ -5,8 +5,8 @@ exceptional directions one at a time pushes the configuration forward
 to the plane.  A degree-zero sphere e_a - sum(e_b) is the exceptional
 divisor at a once its tails e_b are contracted, and collapses to a
 point of the image; any other index is a generic sphere.  So the trace
-walks lattice._dominance_order once, every tail before its head, the
-order that also gives those classes positive area.  Recording which
+follows Embedding.contraction, every tail before its head, the walk the
+search peeled once to give those classes positive area.  Recording which
 curves pass through every collapsed point (with which multiplicity),
 and which earlier points ride on the collapsing sphere and so become
 infinitely near the new one, determines the complete local
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Optional, Sequence
 
-from .lattice import Embedding, _dominance_order
+from .lattice import Embedding
 
 OBSTRUCTED = "Obstructed"
 UNIQUE = "UniqueIsotopy"
@@ -209,12 +209,12 @@ def blow_down_trace(emb: Embedding) -> ConfigFingerprint:
     Pushing forward never changes a coefficient, it only deletes the
     contracted coordinate, so a curve passes through the point created
     at index k exactly when its class had a negative e_k coefficient,
-    with multiplicity the negated coefficient.  The indices that no
-    degree-zero class names go first, then the rest in _dominance_order:
-    each degree-zero sphere collapses at its head, and the points still
-    on it become infinitely near that point.  The pre-existing meets of
-    the cap are seeded as contact chains so that every intersection of
-    the final image curves is accounted for.  A cycle raises ValueError.
+    with multiplicity the negated coefficient.  The indices go in the
+    embedding's contraction walk, peeled once and kept with it: each
+    degree-zero sphere collapses at its head, and the points still on it
+    become infinitely near that point.  The pre-existing meets of the
+    cap are seeded as contact chains so that every intersection of the
+    final image curves is accounted for.  No walk (a cycle) raises ValueError.
     """
     g = emb.graph
     roots: list[PointNode] = []
@@ -244,12 +244,9 @@ def blow_down_trace(emb: Embedding) -> ConfigFingerprint:
         if (u, v) not in corner_pairs:
             roots.extend(chain(u, v, order))
 
-    zero = {v: dict(c.coeffs) for v, c in enumerate(emb.classes) if c.a0 == 0}
-    ordered = _dominance_order(zero.values())
-    if ordered is None:
-        classes = ", ".join(str(emb.classes[v]) for v in zero)
+    if (walk := emb.contraction) is None:
+        classes = ", ".join(str(c) for c in emb.classes if c.a0 == 0)
         raise ValueError(f"the degree-zero classes {classes} close a dominance cycle")
-    heads = {k: v for v, row in zero.items() for k, c in row.items() if c == 1}
     # each index's column: the curves through the point it contracts to
     cols: list[dict[int, int]] = [{} for _ in range(emb.n_used)]
     for v, c in enumerate(emb.classes):
@@ -259,7 +256,7 @@ def blow_down_trace(emb: Embedding) -> ConfigFingerprint:
     # the live roots, and those on each collapsing sphere, in the order
     # they were made; an adoption costs only the points it moves
     live: dict[PointNode, None] = {}
-    on: dict[int, dict[PointNode, None]] = {v: {} for v in heads.values()}
+    on: dict[int, dict[PointNode, None]] = {v: {} for _, v in walk if v is not None}
 
     def place(r: PointNode) -> None:
         live[r] = None
@@ -269,9 +266,7 @@ def blow_down_trace(emb: Embedding) -> ConfigFingerprint:
 
     for r in roots:
         place(r)
-    named = set(ordered)
-    for k in [k for k in range(emb.n_used) if k not in named] + ordered:
-        v = heads.get(k)
+    for k, v in walk:
         near = () if v is None else tuple(on[v])
         for r in near:
             del live[r]

@@ -6,7 +6,8 @@ short text summary by default, the full report with --json, or DOT
 source with --dot where a graph is involved.  Exit status 0 means the
 run finished without negative findings, 2 flags an obstructed or
 unrealizable answer so shell pipelines can branch on it, 1 is a usage
-error, and 3 an internal error (a broken invariant of the engine).
+error (or a ValueError), and 3 an internal error: a broken invariant of
+the engine, or any other exception.
 A reader that closes stdout early, as `| head` does, cuts the output
 short without a traceback; the status stays the command's own.
 The --json text is that of json.dumps(report, indent=2), built by a
@@ -338,7 +339,7 @@ def cmd_blowdown(args) -> tuple[dict, list[str], Optional[str], int]:
         cap.embeddings, cap.ambients, cap.fingerprints, cap.entries
     ):
         entries.append({"k": e.k, "ambient": amb, **image_dict(trace, entry)})
-        lines.append(f"  k={e.k} {trace.summary()}")
+        lines.append(f"  k={e.k} {entries[-1]['summary']}")
         lines.append(f"    {entry.pattern}: {entry.status} ({entry.reason})")
     inputs = {"spec": list(args.spec)}
     results = {"cap": _cap_dict(recipe), "count": len(entries), "entries": entries}
@@ -556,6 +557,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except RuntimeError as exc:
         print(f"atlas: internal error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        # no other exception is raised on purpose, so each is a fault
+        print(f"atlas: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     try:
         sys.stdout.write(text)

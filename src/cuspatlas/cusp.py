@@ -122,28 +122,21 @@ def ms_recognize(seq: MultSeq) -> Optional[CuspType]:
     """Inverse of mult_seq: the (p,q) whose multiplicity sequence this
     is, or None when no one-Puiseux-pair cusp realizes it.
 
-    The runs of equal values must replay a Euclidean remainder chain
-    ending at 1.
+    mult_seq(p, q) opens with q // p copies of p, then the remainder
+    q % p unless it is 1, so the first run and the value after it (1 if
+    none) name the only candidate (p, q): the answer iff it is a cusp
+    whose sequence is this one. Its length, the sum of the Euclidean
+    quotients, is counted first, so the recomputation never outgrows seq.
     """
-    if not seq or any(m < 2 for m in seq):
+    if not seq:
         return None
-    runs: list[tuple[int, int]] = []  # (value, count)
-    for m in seq:
-        if runs and runs[-1][0] == m:
-            runs[-1] = (m, runs[-1][1] + 1)
-        else:
-            runs.append((m, 1))
-    values = [v for v, _ in runs] + [1]
-    counts = [c for _, c in runs]
-    # remainder chain: values[i-1] = counts[i] * values[i] + values[i+1]
-    for i in range(1, len(runs)):
-        if values[i - 1] != counts[i] * values[i] + values[i + 1]:
-            return None
-    p = values[0]
-    q = counts[0] * values[0] + values[1]
-    if gcd(p, q) != 1 or not (2 <= p < q):
-        return None
-    if mult_seq(p, q) != tuple(seq):
+    p = seq[0]
+    run = next((i for i, m in enumerate(seq) if m != p), len(seq))
+    q = run * p + (seq[run] if run < len(seq) else 1)
+    a, b, n = q, p, 0  # Euclid on (q, p): b ends at 1 iff gcd(p, q) = 1
+    while b > 1 and n <= len(seq):
+        n, a, b = n + a // b, b, a % b
+    if not 2 <= p < q or b != 1 or n != len(seq) or mult_seq(p, q) != tuple(seq):
         return None
     return CuspType(p, q)
 

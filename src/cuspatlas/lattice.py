@@ -28,9 +28,9 @@ as they must pay what is owed exactly.  The orbit prefixes generate
 each assignment once, and a repeat is an internal error.  Complete
 assignments that no positive area form supports are dropped: for the
 degree-zero classes that is exactly a cycle in their dominance graph,
-and _dominance_order, the one place that order lives, peels it once
-per assignment, so no linear program runs (the blow-down walks the
-same order).  A leaf relabels its indices canonically from the
+so no linear program runs.  The order is each embedding's contraction
+walk, peeled once and kept: a leaf stays iff it has one, and the
+blow-down walks it.  A leaf relabels its indices canonically from the
 columns, and the results are sorted, so repeated runs agree bit for
 bit.  Each result checks itself from its own classes, not from the
 search's columns: adjunction per vertex, and a Gram matrix read index
@@ -43,10 +43,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, groupby, repeat
 from math import isqrt
 from operator import floordiv, mod
-from typing import Iterable, Iterator, Literal, Mapping, Sequence
+from typing import Iterator, Literal, Mapping, Sequence
 
 from .linalg import int_det, int_kernel_basis
 from .plumbing import PlumbingGraph
@@ -54,6 +55,7 @@ from .plumbing import PlumbingGraph
 ECoeffs = tuple[tuple[int, int], ...]
 # an orbit's (class, nonzero coefficient) pairs, sorted by class
 Row = tuple[tuple[int, int], ...]
+Walk = tuple[tuple[int, int | None], ...]
 Parity = Literal["even", "odd"]
 
 
@@ -198,7 +200,8 @@ def _gram_of(basis: tuple[HClass, ...]) -> GramForm:
 
 @dataclass(frozen=True)
 class Embedding:
-    """A class assignment realizing a rooted plumbing inside <h, e_0..e_{N-1}>."""
+    """A class assignment realizing a rooted plumbing inside <h, e_0..e_{N-1}>;
+    it keeps its contraction walk, peeled once, for the search and the blow-down."""
 
     graph: PlumbingGraph
     classes: tuple[HClass, ...]
@@ -229,6 +232,11 @@ class Embedding:
     def k(self) -> int:
         """Extra exceptional directions beyond the graph's own blow-ups."""
         return self.n_used - (self.graph.n - 1)
+
+    @cached_property
+    def contraction(self) -> Walk | None:
+        """The blow-down's walk, None on a dominance cycle: see _dominance_order."""
+        return _dominance_order(self.classes, self.n_used)
 
     def to_dict(self) -> dict:
         return {
@@ -588,9 +596,10 @@ def _canonical_classes(
     return tuple(HClass(a0, tuple(co)) for a0, co in zip(a0s, coeffs))
 
 
-def _dominance_order(zero_rows: Iterable[Mapping[int, int]]) -> list[int] | None:
-    """The indices the degree-zero classes in zero_rows name, each once
-    and every tail before its head, or None on a cycle.
+def _dominance_order(classes: Sequence[HClass], n_used: int) -> Walk | None:
+    """Indices 0..n_used-1, those the classes use, each once with the
+    position of the degree-zero class it heads or None: first those no
+    such class names, then every tail before its head.  None on a cycle.
 
     Each class is e_a - sum(e_b for b in S), of positive area iff
     w(e_a) > sum(w(e_b)), read as edges a -> b.  A cycle through a would
@@ -602,23 +611,28 @@ def _dominance_order(zero_rows: Iterable[Mapping[int, int]]) -> list[int] | None
     """
     waits: dict[int, set[int]] = {}
     held: dict[int, set[int]] = {}
-    for row in zero_rows:
-        heads = [i for i, c in row.items() if c == 1]
-        if len(heads) != 1 or any(c not in (1, -1) for c in row.values()):
-            raise ValueError(f"not a degree-zero sphere class: {dict(row)}")
-        for b in row:
+    heads: dict[int, int] = {}
+    for v, x in enumerate(classes):
+        if x.a0:
+            continue
+        ones = [i for i, c in x.coeffs if c == 1]
+        if len(ones) != 1 or any(c not in (1, -1) for _, c in x.coeffs):
+            raise ValueError(f"not a degree-zero sphere class: {x}")
+        heads[ones[0]] = v
+        for b, _ in x.coeffs:
             waits.setdefault(b, set())
-            if b != heads[0]:
-                held.setdefault(b, set()).add(heads[0])
-        waits[heads[0]].update(b for b in row if b != heads[0])
-    order = [a for a, tails in waits.items() if not tails]
+            if b != ones[0]:
+                held.setdefault(b, set()).add(ones[0])
+        waits[ones[0]].update(b for b, _ in x.coeffs if b != ones[0])
+    order = [i for i in range(n_used) if i not in waits]
+    order += [a for a, tails in waits.items() if not tails]
     # the list grows behind the loop as heads come free
     for b in order:
         for a in held.get(b, ()):
             waits[a].discard(b)
             if not waits[a]:
                 order.append(a)
-    return order if len(order) == len(waits) else None
+    return tuple((i, heads.get(i)) for i in order) if len(order) == n_used else None
 
 
 class _Search:
@@ -720,8 +734,7 @@ def enumerate_embeddings(g: PlumbingGraph) -> tuple[Embedding, ...]:
     once, so two equal leaves are an internal error (RuntimeError), and
     it is kept iff its degree-zero classes leave their dominance graph
     (e_a -> e_b for each class e_a - ... - e_b - ...) without a cycle,
-    that is, iff _dominance_order finds them an order.
-    Output order and labelling are the same on every run.
+    iff it has a contraction walk.  Runs agree on order and labelling.
     """
     search = _Search(g)
     if any(not p for p in search.profiles):
@@ -732,10 +745,7 @@ def enumerate_embeddings(g: PlumbingGraph) -> tuple[Embedding, ...]:
     for a, b in zip(leaves, leaves[1:]):
         if a == b:
             raise RuntimeError(f"the search yields one embedding twice: {a.to_dict()}")
-    return tuple(
-        e for e in leaves
-        if _dominance_order(dict(c.coeffs) for c in e.classes if c.a0 == 0) is not None
-    )
+    return tuple(e for e in leaves if e.contraction is not None)
 
 
 def _orthogonal_form(emb: Embedding, drop_root: bool) -> GramForm:

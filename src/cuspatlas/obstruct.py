@@ -206,15 +206,11 @@ def _final_status(verdicts: List[ObstructionVerdict], cap: Optional[CapRun]) -> 
         for e, ent in zip(cap.embeddings, cap.entries)
         if ent.status != OBSTRUCTED
     ]
-    plane = [(e, ent) for e, ent in viable if e.k == 0]
-    if plane:
-        if len(plane) == 1 and plane[0][1].status == UNIQUE:
-            return "UniqueInPlane"
-        return "Unknown"
+    # the least k decides: the plane when it is 0, else its blow-up
     kmin = min(e.k for e, _ in viable)
-    at_min = [(e, ent) for e, ent in viable if e.k == kmin]
-    if len(at_min) == 1 and at_min[0][1].status == UNIQUE:
-        return f"UniqueInBlowup({kmin})"
+    at_min = [ent for e, ent in viable if e.k == kmin]
+    if len(at_min) == 1 and at_min[0].status == UNIQUE:
+        return "UniqueInPlane" if kmin == 0 else f"UniqueInBlowup({kmin})"
     return "Unknown"
 
 

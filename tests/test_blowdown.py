@@ -25,7 +25,7 @@ from cuspatlas.blowdown import (
 )
 from cuspatlas.cusp import CuspCombo, CuspType, enumerate_combos
 from cuspatlas.lattice import Embedding, HClass, enumerate_embeddings
-from cuspatlas.plumbing import build_cap, cap_for_combo, family_cap
+from cuspatlas.plumbing import PlumbingGraph, build_cap, cap_for_combo, family_cap
 
 
 def nest(nodes):
@@ -416,6 +416,18 @@ def test_the_trace_matches_the_rescan_oracle():
         assert got.summary() == want.summary(), e.to_dict()
         a, b = catalog_lookup(got), catalog_lookup(want)
         assert (a.pattern, a.status) == (b.pattern, b.status), e.to_dict()
+
+
+def test_a_cyclic_embedding_does_not_trace():
+    # the search keeps only embeddings with a contraction walk, so only
+    # a hand-built one reaches the trace without: X = e0 - e1 - e2 and
+    # Y = -e0 + e1 - e3 head each other's tails, a dominance cycle
+    g = PlumbingGraph((1, -3, -3), ("C", "X", "Y"), ((1, 2, 2),), root=0)
+    x, y = HClass.make(0, {0: 1, 1: -1, 2: -1}), HClass.make(0, {0: -1, 1: 1, 3: -1})
+    emb = Embedding(g, (HClass(1), x, y), 4)
+    assert emb.contraction is None
+    with pytest.raises(ValueError, match="close a dominance cycle"):
+        blow_down_trace(emb)
 
 
 def test_torus_family_caps_blow_down_to_two_lines():

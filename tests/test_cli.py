@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from cuspatlas import blowdown, cli, lattice, obstruct
+from cuspatlas import cli, lattice, obstruct
 from cuspatlas.cli import main
 from cuspatlas.cusp import enumerate_combos, semigroup_condition
 from cuspatlas.lattice import HClass, enumerate_embeddings
@@ -353,6 +353,18 @@ def test_internal_error_exits_3(monkeypatch):
     assert err == "atlas: internal error: an engine invariant failed\n"
 
 
+def test_any_exception_after_parsing_exits_3(monkeypatch):
+    # an exception of a type the engine does not raise on purpose is still
+    # an internal error: exit 3, empty stdout and the exception's type
+    def broken(emb):
+        raise KeyError("x")
+
+    monkeypatch.setattr(obstruct, "blow_down_trace", broken)
+    code, out, err = run("blowdown", "A", "3")
+    assert (code, out) == (3, "")
+    assert err == "atlas: internal error: KeyError: 'x'\n"
+
+
 def test_a_stage_failing_its_own_check_exits_3(monkeypatch):
     # a leaf or an image that refuses itself is the engine's fault, not
     # the caller's: exit 3 with the cap named, not the usage error's 1
@@ -377,20 +389,6 @@ def test_a_stage_failing_its_own_check_exits_3(monkeypatch):
         assert (code, out) == (3, ""), argv
         assert err.startswith("atlas: internal error: cap A_p for "), argv
         assert why in err, argv
-
-
-def test_a_trace_with_no_dominance_order_exits_3(monkeypatch):
-    # the search keeps only leaves whose degree-zero classes have an
-    # order, so a trace that finds none is the engine's fault: a
-    # ValueError, which cap_faults turns into exit 3 with the cap named
-    monkeypatch.setattr(blowdown, "_dominance_order", lambda zero_rows: None)
-    (emb,) = enumerate_embeddings(build_cap(family_cap("A_p", 3)))
-    with pytest.raises(ValueError, match="close a dominance cycle"):
-        blowdown.blow_down_trace(emb)
-    code, out, err = run("blowdown", "A", "3")
-    assert (code, out) == (3, "")
-    assert err.startswith("atlas: internal error: cap A_p for ")
-    assert "close a dominance cycle" in err
 
 
 @pytest.mark.parametrize(

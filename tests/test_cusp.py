@@ -1,10 +1,12 @@
 from collections import Counter
+from itertools import product
 from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cuspatlas.cusp as cusp_module
 from cuspatlas.cusp import (
     CuspCombo,
     CuspType,
@@ -133,6 +135,42 @@ def test_ms_recognize_frozen():
     assert ms_recognize((1, 1)) is None
     assert ms_recognize(()) is None
     assert ms_recognize((2, 3)) is None
+
+
+def test_ms_recognize_agrees_with_a_table_of_every_sequence():
+    # every sequence of length <= 5 with entries 1..9 that some cusp has
+    # comes from p = its first entry <= 9 and q <= 5 * 9 + 9, so the
+    # table of mult_seq(p, q) over p <= 9, q <= 100 holds all of them
+    table = {
+        mult_seq(p, q): CuspType(p, q)
+        for p in range(2, 10)
+        for q in range(p + 1, 101)
+        if gcd(p, q) == 1
+    }
+    seen = 0
+    for n in range(6):
+        for seq in product(range(1, 10), repeat=n):
+            assert ms_recognize(seq) == table.get(seq), seq
+            seen += seq in table
+    assert seen > 0
+    # ms_recognize is given lists too
+    assert ms_recognize([3, 2]) == CuspType(3, 5)
+
+
+def test_ms_recognize_work_stays_within_the_input_length(monkeypatch):
+    # the only candidate for (p, 2) is (p, p + 2), whose sequence holds
+    # (p - 1) / 2 twos: it is rejected by its length, never built
+    assert ms_recognize((10**12,)) == CuspType(10**12, 10**12 + 1)
+
+    def build(p, q):
+        assert len(str(q)) < 9, f"mult_seq({p}, {q}) built"
+        return mult_seq(p, q)
+
+    monkeypatch.setattr(cusp_module, "mult_seq", build)
+    assert ms_recognize((10**12 + 1, 2)) is None
+    assert ms_recognize((10**12 + 1, 2, 2)) is None
+    assert ms_recognize((10**12 + 1, 10**12 + 1, 2)) is None
+    assert ms_recognize((5, 2, 2)) == CuspType(5, 7)
 
 
 def test_cusp_type_validation():

@@ -1,6 +1,7 @@
 """Class assignments for cap plumbings: profiles, the search, residual forms."""
 
 import random
+import sys
 
 import pytest
 from area_lp import area_feasible
@@ -28,7 +29,7 @@ from cuspatlas.lattice import (
     enumerate_embeddings,
 )
 from cuspatlas.linalg import int_det
-from cuspatlas.obstruct import riemann_hurwitz_verdict
+from cuspatlas.obstruct import riemann_hurwitz_verdict, run_cap
 from cuspatlas.plumbing import PlumbingGraph, build_cap, cap_for_combo, family_cap
 
 
@@ -130,26 +131,40 @@ degree_zero_rows = st.lists(
 )
 
 
+def walk_of(rows):
+    """_dominance_order on one degree-zero class per row, over the
+    indices up to the largest one the rows name."""
+    n = 1 + max((i for r in rows for i in r), default=-1)
+    return lattice._dominance_order([HClass.make(0, r) for r in rows], n)
+
+
 @given(rows=degree_zero_rows)
 @settings(max_examples=300)
 def test_dominance_cycle_agrees_with_the_area_lp(rows):
     # whole row sets, as a leaf hands them over; heads may repeat here
     rows = [{a: 1, **{b: -1 for b in rest}} for a, rest in rows]
     want = area_feasible([HClass.make(0, r) for r in rows])
-    order = lattice._dominance_order(rows)
-    assert (order is not None) == want
-    if order is not None:
-        # each index the rows name once, every tail before its head
-        assert sorted(order) == sorted({i for r in rows for i in r})
+    walk = walk_of(rows)
+    assert (walk is not None) == want
+    if walk is not None:
+        # each index once, those no row names first, every tail before
+        # its head, and each head paired with a row it heads
+        order = [i for i, _ in walk]
+        named = {i for r in rows for i in r}
+        assert sorted(order) == list(range(len(order)))
+        assert all(i not in named for i in order[: len(order) - len(named)])
         at = {i: n for n, i in enumerate(order)}
         for r in rows:
             (head,) = [i for i, c in r.items() if c == 1]
             assert all(at[i] < at[head] for i, c in r.items() if c == -1)
+        for i, v in walk:
+            assert (v is not None) == any(r.get(i) == 1 for r in rows)
+            assert v is None or rows[v][i] == 1
 
 
 def test_dominance_cycle_shapes():
     def ordered(rows):
-        return lattice._dominance_order(rows) is not None
+        return walk_of(rows) is not None
 
     assert ordered([])
     assert ordered([{0: 1}, {1: 1, 0: -1}])
@@ -161,16 +176,22 @@ def test_dominance_cycle_shapes():
     # a repeated head keeps the edges of both its rows
     assert not ordered([{0: 1, 1: -1}, {0: 1, 2: -1}, {2: 1, 0: -1}])
     with pytest.raises(ValueError):
-        lattice._dominance_order([{0: 1, 1: 1}])
+        walk_of([{0: 1, 1: 1}])
     with pytest.raises(ValueError):
-        lattice._dominance_order([{0: 2, 1: -1}])
+        walk_of([{0: 2, 1: -1}])
+    # the root's class names nothing; the unnamed index 1 goes first,
+    # then 3, 0, 2, each tail before its head, and each head with the
+    # position of its class
+    assert lattice._dominance_order(
+        [HClass(1), HClass.make(0, {2: 1, 0: -1}), HClass.make(0, {0: 1, 3: -1})], 4
+    ) == ((1, None), (3, None), (0, 2), (2, 1))
 
 
 def test_the_search_cuts_what_the_cycle_check_reports(monkeypatch):
     # every embedding of A3 places degree-zero classes, so a check that
     # always reports a cycle must leave nothing
     assert enumerate_embeddings(cap("A_p", p=3))
-    monkeypatch.setattr(lattice, "_dominance_order", lambda zero_rows: None)
+    monkeypatch.setattr(lattice, "_dominance_order", lambda classes, n_used: None)
     assert enumerate_embeddings(cap("A_p", p=3)) == ()
 
 
@@ -178,10 +199,9 @@ def test_the_check_sees_each_leafs_degree_zero_classes(monkeypatch):
     real = lattice._dominance_order
     calls = []
 
-    def wrapper(zero_rows):
-        rows = list(zero_rows)
-        calls.append(sorted(sorted(row.items()) for row in rows))
-        return real(rows)
+    def wrapper(classes, n_used):
+        calls.append(sorted(list(c.coeffs) for c in classes if c.a0 == 0))
+        return real(classes, n_used)
 
     monkeypatch.setattr(lattice, "_dominance_order", wrapper)
     for kind, p in (("A_p", 5), ("B_p", 3), ("E6", None)):
@@ -192,6 +212,43 @@ def test_the_check_sees_each_leafs_degree_zero_classes(monkeypatch):
         want = [sorted(list(c.coeffs) for c in e.classes if c.a0 == 0) for e in embs]
         assert calls[start:] == want
     assert max(map(len, calls)) >= 3
+
+
+def test_each_leaf_is_peeled_once_and_the_trace_peels_none():
+    # the search's area test and the blow-down read one walk per
+    # embedding: over the 16 caps the benchmark blows down,
+    # _dominance_order runs once per search leaf (each leaf makes one
+    # _canonical_classes call) and never under blow_down_trace.  Calls
+    # are seen by code object, whatever name the caller holds
+    peel, leaf, trace = (
+        f.__code__
+        for f in (lattice._dominance_order, lattice._canonical_classes, blow_down_trace)
+    )
+    calls = {peel: 0, leaf: 0, trace: 0}
+    traced_peels = 0
+
+    def profile(frame, event, arg):
+        nonlocal traced_peels
+        if event != "call" or frame.f_code not in calls:
+            return
+        calls[frame.f_code] += 1
+        caller = frame.f_back
+        while frame.f_code is peel and caller is not None:
+            traced_peels += caller.f_code is trace
+            caller = caller.f_back
+
+    recipes = [family_cap("A_p", p) for p in range(2, 11)]
+    recipes += [family_cap("B_p", p) for p in range(2, 7)]
+    recipes += [family_cap("E3"), family_cap("E6")]
+    sys.setprofile(profile)
+    try:
+        runs = [run_cap(r) for r in recipes]
+    finally:
+        sys.setprofile(None)
+    embeddings = sum(len(r.embeddings) for r in runs)
+    assert calls[trace] == embeddings > 0
+    assert calls[peel] == calls[leaf] >= embeddings
+    assert traced_peels == 0
 
 
 def test_a_repeated_embedding_is_an_internal_error(monkeypatch, capsys):

@@ -46,6 +46,24 @@ def test_no_memo_that_outlives_a_request():
     assert found == []
 
 
+def test_no_module_imports_anothers_private_name():
+    # a _-prefixed name belongs to its module: a second module that needs
+    # it needs the fact moved behind its owner or a public name.  Dunders
+    # such as __version__ are public
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "cuspatlas"
+            ):
+                found += [
+                    f"{path.name}:{node.lineno} {a.name}"
+                    for a in node.names
+                    if a.name.startswith("_") and not a.name.startswith("__")
+                ]
+    assert found == []
+
+
 def test_each_cusp_literal_is_written_once():
     # a cusp spelled out twice, as the sporadic family members once were,
     # is a fact with two owners that can drift apart
