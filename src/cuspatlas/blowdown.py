@@ -8,8 +8,8 @@ point of the image; any other index is a generic sphere.  So the trace
 follows Embedding.contraction, every tail before its head, the walk the
 search peeled once to give those classes positive area.  Recording which
 curves pass through every collapsed point (with which multiplicity),
-and which earlier points ride on the collapsing sphere and so become
-infinitely near the new one, determines the complete local
+and hanging each point from the first sphere through it to collapse,
+whose point it then lies infinitely near, determines the complete local
 intersection data of the image curves.
 
 The result is a ConfigFingerprint: component degrees plus clusters of
@@ -185,16 +185,21 @@ class ConfigFingerprint:
         return f"degrees({degs}) points " + " ".join(sorted(pts))
 
 
+def _witnesses(mults: Dict[int, int], children: tuple[PointNode, ...]) -> bool:
+    """A point witnesses geometry while it holds at least two curves, one
+    curve with multiplicity >= 2, or a point that does."""
+    return bool(children) or len(mults) >= 2 or any(m >= 2 for m in mults.values())
+
+
 def _prune(nodes: Sequence[PointNode], remap: Dict[int, int]) -> tuple[PointNode, ...]:
     """These points with each curve renamed by remap (curves it does not
-    name are dropped), less the subtrees that no longer witness geometry.
-    A point stays while it holds at least two curves, one curve with
-    multiplicity >= 2, or a point that stays."""
+    name are dropped), less the subtrees in which no point _witnesses
+    geometry any more."""
     out = []
     for p in nodes:
         mults = {remap[c]: m for c, m in p.mults.items() if c in remap}
         children = _prune(p.children, remap)
-        if children or len(mults) >= 2 or any(m >= 2 for m in mults.values()):
+        if _witnesses(mults, children):
             out.append(PointNode(mults, children))
     return tuple(out)
 
@@ -210,21 +215,38 @@ def blow_down_trace(emb: Embedding) -> ConfigFingerprint:
     contracted coordinate, so a curve passes through the point created
     at index k exactly when its class had a negative e_k coefficient,
     with multiplicity the negated coefficient.  The indices go in the
-    embedding's contraction walk, peeled once and kept with it: each
-    degree-zero sphere collapses at its head, and the points still on it
-    become infinitely near that point.  The pre-existing meets of the
-    cap are seeded as contact chains so that every intersection of the
-    final image curves is accounted for.  No walk (a cycle) raises ValueError.
+    embedding's contraction walk: each degree-zero sphere collapses at
+    its head, so a point hangs from the first sphere through it to
+    collapse, or else roots a cluster.  Each point is made once, named
+    by survivor index, and kept only if it _witnesses geometry.  The cap's
+    own meets are seeded as contact chains so that every intersection of
+    the image curves is accounted for.  No walk (a cycle) raises ValueError.
     """
     g = emb.graph
+    if (walk := emb.contraction) is None:
+        classes = ", ".join(str(c) for c in emb.classes if c.a0 == 0)
+        raise ValueError(f"the degree-zero classes {classes} close a dominance cycle")
+    survivors = [v for v, c in enumerate(emb.classes) if c.a0]
+    name = {v: i for i, v in enumerate(survivors)}
+    # each degree-zero sphere's place in the walk, and the kept points
+    # that hang from it until it collapses, in the order they were made
+    rank = {v: i for i, (_, v) in enumerate(walk) if v is not None}
+    hung: dict[int, list[PointNode]] = {v: [] for v in rank}
     roots: list[PointNode] = []
 
+    def make(through: Dict[int, int], children: tuple[PointNode, ...]) -> None:
+        mults = {name[c]: m for c, m in through.items() if c in name}
+        if _witnesses(mults, children):
+            spheres = [c for c in through if c in rank]
+            below = hung[min(spheres, key=rank.__getitem__)] if spheres else roots
+            below.append(PointNode(mults, children))
+
     def chain(u: int, v: int, order: int) -> tuple[PointNode, ...]:
-        # contact of this order: a chain of points on {u, v}, built
-        # from its deepest point up
+        # contact of this order: a chain of points on {u, v}, built from
+        # its deepest point up; on a degree-zero sphere none witnesses
         below: tuple[PointNode, ...] = ()
-        for _ in range(order):
-            below = (PointNode({u: 1, v: 1}, below),)
+        for _ in range(order if u in name and v in name else 0):
+            below = (PointNode({name[u]: 1, name[v]: 1}, below),)
         return below
 
     corner_pairs: set[tuple[int, int]] = set()
@@ -238,48 +260,24 @@ def blow_down_trace(emb: Embedding) -> ConfigFingerprint:
         if deep:
             (u, v), r = deep[0]
             near = chain(u, v, r - 1)
-        roots.append(PointNode({x: 1, y: 1, z: 1}, near))
+        make({x: 1, y: 1, z: 1}, near)
         corner_pairs.update(orders)
     for u, v, order in g.edges:
         if (u, v) not in corner_pairs:
             roots.extend(chain(u, v, order))
 
-    if (walk := emb.contraction) is None:
-        classes = ", ".join(str(c) for c in emb.classes if c.a0 == 0)
-        raise ValueError(f"the degree-zero classes {classes} close a dominance cycle")
     # each index's column: the curves through the point it contracts to
     cols: list[dict[int, int]] = [{} for _ in range(emb.n_used)]
     for v, c in enumerate(emb.classes):
         for k, x in c.coeffs:
             if x < 0:
                 cols[k][v] = -x
-    # the live roots, and those on each collapsing sphere, in the order
-    # they were made; an adoption costs only the points it moves
-    live: dict[PointNode, None] = {}
-    on: dict[int, dict[PointNode, None]] = {v: {} for _, v in walk if v is not None}
-
-    def place(r: PointNode) -> None:
-        live[r] = None
-        for u in r.mults:
-            if u in on:
-                on[u][r] = None
-
-    for r in roots:
-        place(r)
     for k, v in walk:
-        near = () if v is None else tuple(on[v])
-        for r in near:
-            del live[r]
-            for u in r.mults:
-                if u in on:
-                    del on[u][r]
-        place(PointNode(cols[k], near))
-
-    survivors = [v for v, c in enumerate(emb.classes) if c.a0]
+        make(cols[k], () if v is None else tuple(hung.pop(v)))
     return ConfigFingerprint(
         tuple(emb.classes[v].a0 for v in survivors),
         tuple(g.labels[v] for v in survivors),
-        _prune(list(live), {v: i for i, v in enumerate(survivors)}),
+        tuple(roots),
     )
 
 

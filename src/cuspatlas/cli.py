@@ -231,7 +231,7 @@ def _sphere_class(emb: Embedding) -> Optional[HClass]:
 
 
 def cmd_invariants(args) -> tuple[dict, list[str], Optional[str], int]:
-    from .cusp import CuspType, ms_recognize
+    from .cusp import CuspType, ms_recognize, mult_seq_length
     if args.seq is not None:
         if args.p is not None:
             raise UsageError("give either p q or --seq, not both")
@@ -249,17 +249,23 @@ def cmd_invariants(args) -> tuple[dict, list[str], Optional[str], int]:
             raise UsageError("invariants needs p q or --seq")
         cusp = CuspType(args.p, args.q)
         inputs = {"p": args.p, "q": args.q}
+    # about q / p entries: listed, once for both outputs, only up to 2^20
+    n = mult_seq_length(cusp.p, cusp.q)
+    seq = list(cusp.mult_seq()) if n <= 1 << 20 else None
     results = {
         "status": "Realizable",
         "p": cusp.p,
         "q": cusp.q,
-        "mult_seq": list(cusp.mult_seq()),
+        "mult_seq": seq,
         "delta": cusp.delta,
         "milnor": cusp.milnor,
     }
+    if seq is None:
+        results["mult_seq_note"] = f"listing skipped: {n} entries"
+    shown = f"of {n} entries, not listed" if seq is None else seq
     line = (
         f"({cusp.p},{cusp.q}): multiplicity sequence "
-        f"{list(cusp.mult_seq())}, delta {cusp.delta}, milnor {cusp.milnor}"
+        f"{shown}, delta {cusp.delta}, milnor {cusp.milnor}"
     )
     return _report("invariants", inputs, results), [line], None, 0
 

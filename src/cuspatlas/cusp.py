@@ -118,6 +118,15 @@ def mult_seq(p: int, q: int) -> MultSeq:
     return tuple(seq)
 
 
+def mult_seq_length(p: int, q: int) -> int:
+    """len(mult_seq(p, q)), counted without building it: the sum of the
+    Euclidean quotients of (q, p), in O(log q) steps."""
+    n, a, b = 0, q, p
+    while b > 1:
+        n, a, b = n + a // b, b, a % b
+    return n
+
+
 def ms_recognize(seq: MultSeq) -> Optional[CuspType]:
     """Inverse of mult_seq: the (p,q) whose multiplicity sequence this
     is, or None when no one-Puiseux-pair cusp realizes it.
@@ -125,20 +134,17 @@ def ms_recognize(seq: MultSeq) -> Optional[CuspType]:
     mult_seq(p, q) opens with q // p copies of p, then the remainder
     q % p unless it is 1, so the first run and the value after it (1 if
     none) name the only candidate (p, q): the answer iff it is a cusp
-    whose sequence is this one. Its length, the sum of the Euclidean
-    quotients, is counted first, so the recomputation never outgrows seq.
+    whose sequence is this one. Its length is counted first, so the
+    recomputation never outgrows seq.
     """
     if not seq:
         return None
     p = seq[0]
     run = next((i for i, m in enumerate(seq) if m != p), len(seq))
     q = run * p + (seq[run] if run < len(seq) else 1)
-    a, b, n = q, p, 0  # Euclid on (q, p): b ends at 1 iff gcd(p, q) = 1
-    while b > 1 and n <= len(seq):
-        n, a, b = n + a // b, b, a % b
-    if not 2 <= p < q or b != 1 or n != len(seq) or mult_seq(p, q) != tuple(seq):
+    if not 2 <= p < q or gcd(p, q) != 1 or mult_seq_length(p, q) != len(seq):
         return None
-    return CuspType(p, q)
+    return CuspType(p, q) if mult_seq(p, q) == tuple(seq) else None
 
 
 class _Lanes(NamedTuple):

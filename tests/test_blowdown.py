@@ -7,6 +7,7 @@ counts (Bezout closure pins most of them down uniquely).
 """
 
 import random
+import sys
 
 import oracles
 import pytest
@@ -20,11 +21,13 @@ from cuspatlas.blowdown import (
     UNKNOWN,
     ConfigFingerprint,
     PointNode,
+    _prune,
     blow_down_trace,
     catalog_lookup,
 )
 from cuspatlas.cusp import CuspCombo, CuspType, enumerate_combos
 from cuspatlas.lattice import Embedding, HClass, enumerate_embeddings
+from cuspatlas.obstruct import run_cap
 from cuspatlas.plumbing import PlumbingGraph, build_cap, cap_for_combo, family_cap
 
 
@@ -53,6 +56,11 @@ def trace_combo(degree, *pqs):
 def family_traces(kind, p=None):
     graph = build_cap(family_cap(kind, p))
     return [blow_down_trace(e) for e in enumerate_embeddings(graph)]
+
+
+def ordered(nodes):
+    """The clusters as nested tuples, in the order the catalog reads them."""
+    return tuple((tuple(p.mults.items()), ordered(p.children)) for p in nodes)
 
 
 def shape(f):
@@ -416,6 +424,40 @@ def test_the_trace_matches_the_rescan_oracle():
         assert got.summary() == want.summary(), e.to_dict()
         a, b = catalog_lookup(got), catalog_lookup(want)
         assert (a.pattern, a.status) == (b.pattern, b.status), e.to_dict()
+        # every point the trace keeps witnesses geometry: pruned again
+        # under its own names, no point or order changes
+        identity = {c: c for c in range(len(got.degrees))}
+        assert ordered(_prune(got.clusters, identity)) == ordered(got.clusters)
+
+
+def test_the_trace_makes_each_point_once_and_prunes_none():
+    # the trace names and prunes each point as it makes it, so over the
+    # 16 caps the benchmark blows down no _prune call runs under
+    # blow_down_trace.  Calls are seen by code object, whatever name the
+    # caller holds
+    prune, trace = _prune.__code__, blow_down_trace.__code__
+    traces = pruned = 0
+
+    def profile(frame, event, arg):
+        nonlocal traces, pruned
+        if event != "call":
+            return
+        traces += frame.f_code is trace
+        caller = frame.f_back if frame.f_code is prune else None
+        while caller is not None and caller.f_code is not trace:
+            caller = caller.f_back
+        pruned += caller is not None
+
+    recipes = [family_cap("A_p", p) for p in range(2, 11)]
+    recipes += [family_cap("B_p", p) for p in range(2, 7)]
+    recipes += [family_cap("E3"), family_cap("E6")]
+    sys.setprofile(profile)
+    try:
+        runs = [run_cap(r) for r in recipes]
+    finally:
+        sys.setprofile(None)
+    assert traces == sum(len(r.embeddings) for r in runs) > 0
+    assert pruned == 0
 
 
 def test_a_cyclic_embedding_does_not_trace():

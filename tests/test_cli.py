@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from cuspatlas import cli, lattice, obstruct
+from cuspatlas import cli, cusp, lattice, obstruct
 from cuspatlas.cli import main
 from cuspatlas.cusp import enumerate_combos, semigroup_condition
 from cuspatlas.lattice import HClass, enumerate_embeddings
@@ -40,6 +40,29 @@ def test_invariants_from_pair():
     assert "[2, 2, 2]" in out and "delta 3" in out and "milnor 6" in out
     code, out, _ = run("invariants", "2", "3")
     assert code == 0 and "delta 1" in out
+
+
+def test_invariants_lists_at_most_2_20_multiplicities(monkeypatch):
+    # mult_seq(2, q) holds q // 2 entries: 2^20 at q = 2^21 + 1 is listed,
+    # longer ones are counted, never built, as lens counts its strings
+    real = cusp.mult_seq
+
+    def bounded(p, q):
+        if q > 2**21 + 1:
+            raise RuntimeError(f"mult_seq({p}, {q}) built")
+        return real(p, q)
+
+    monkeypatch.setattr(cusp, "mult_seq", bounded)
+    code, out, _ = run("invariants", "2", str(2**21 + 1))
+    assert code == 0 and out.count("2, ") == 2**20 - 1
+    for q, n in ((2**21 + 3, 2**20 + 1), (1000000001, 500000000)):
+        code, rep = run_json("invariants", "2", str(q))
+        r = rep["results"]
+        assert code == 0 and r["mult_seq"] is None
+        assert r["mult_seq_note"] == f"listing skipped: {n} entries"
+        assert r["delta"] == (q - 1) // 2
+        code, out, _ = run("invariants", "2", str(q))
+        assert code == 0 and f"multiplicity sequence of {n} entries" in out
 
 
 def test_invariants_recognizes_sequence():

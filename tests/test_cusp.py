@@ -21,6 +21,7 @@ from cuspatlas.cusp import (
     fibonacci_index,
     gated_combos,
     mult_seq,
+    mult_seq_length,
     ms_recognize,
     semigroup_condition,
     unicuspidal_families,
@@ -155,6 +156,14 @@ def test_ms_recognize_agrees_with_a_table_of_every_sequence():
     assert seen > 0
     # ms_recognize is given lists too
     assert ms_recognize([3, 2]) == CuspType(3, 5)
+
+
+def test_mult_seq_length_counts_the_table_without_building_it():
+    # the length ms_recognize and the invariants command count first
+    pairs = [(p, q) for p in range(2, 10) for q in range(p + 1, 101) if gcd(p, q) == 1]
+    for p, q in pairs:
+        assert mult_seq_length(p, q) == len(mult_seq(p, q)), (p, q)
+    assert mult_seq_length(2, 10**18 + 1) == 5 * 10**17
 
 
 def test_ms_recognize_work_stays_within_the_input_length(monkeypatch):
