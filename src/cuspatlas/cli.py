@@ -12,6 +12,10 @@ A reader that closes stdout early, as `| head` does, cuts the output
 short without a traceback; the status stays the command's own.
 The --json text is that of json.dumps(report, indent=2), built by a
 direct writer (`_json_text`) that refuses non-JSON values with exit 3.
+A report may hold a lazy list, a map object, which the writer draws
+and writes one item at a time: classify's records are a map over
+ClassificationRecord.to_dict, so --json holds one record's dict at a
+time and the text output builds none.
 Each subcommand loads only the stages it runs: a command, or a helper
 that uses an engine name, imports it at the top of its body from the
 module that owns it, so `lens` starts without loading the cap engine.
@@ -119,9 +123,12 @@ def _json_text(report) -> str:
     """The text of json.dumps(report, indent=2), written directly.
 
     With an indent, json runs its pure-Python encoder; this builds the
-    same characters in one list.  Reports are exact, so a float, a set,
-    a non-str key or any other non-JSON value is an engine fault and
-    raises RuntimeError.
+    same characters in one list.  A map object stands for the list of
+    its items: it is drawn once, and each item is written and joined
+    into one string before the next is drawn, so the list's items never
+    exist all at once.  Reports are exact, so a float, a set, a non-str
+    key or any other non-JSON value is an engine fault and raises
+    RuntimeError.
     """
     out: list[str] = []
     _write_json(report, "\n", out)
@@ -163,6 +170,17 @@ def _write_json(o, nl: str, out: list[str]) -> None:
             _write_json(x, inner, out)
             head = "," + inner
         out.append(nl + "]")
+    elif t is map:
+        # a lazy list; head still opens it when no item was drawn
+        inner = nl + "  "
+        head = "[" + inner
+        for x in o:
+            item = [head]
+            _write_json(x, inner, item)
+            out.append("".join(item))
+            head = "," + inner
+            del x, item  # let go of this item before the next is drawn
+        out.append("[]" if head[0] == "[" else nl + "]")
     elif t is str:
         out.append(_quote(o))
     elif t is int:
@@ -356,21 +374,26 @@ def cmd_blowdown(args) -> tuple[dict, list[str], Optional[str], int]:
 
 
 def cmd_classify(args) -> tuple[dict, list[str], Optional[str], int]:
-    from .obstruct import classify_degree
+    from .obstruct import ClassificationRecord, classify_degree
     records = classify_degree(args.degree)
-    dicts = [r.to_dict() for r in records]
     tally: dict[str, int] = {}
-    for r in dicts:
-        tally[r["final_status"]] = tally.get(r["final_status"], 0) + 1
-    tags = [f["catalog"]["provenance"] for r in dicts for f in r["fingerprints"]]
+    tags = []
+    for r in records:
+        tally[r.final_status] = tally.get(r.final_status, 0) + 1
+        if r.cap is not None:
+            # the residual forms check themselves as they are computed:
+            # force them here, so that text mode runs every check too
+            r.cap.ambients, r.cap.complements
+            tags.extend(entry.provenance for entry in r.cap.entries)
     inputs = {"degree": args.degree}
     results = {
         "degree": args.degree,
         "count": len(records),
         "tally": {k: tally[k] for k in sorted(tally)},
-        "records": dicts,
+        # drawn one record at a time by the writer; text mode never draws it
+        "records": map(ClassificationRecord.to_dict, records),
     }
-    lines = [f"{r['combo']}: {r['final_status']}" for r in dicts]
+    lines = [f"{r.combo}: {r.final_status}" for r in records]
     tally_text = ", ".join(f"{v} {k}" for k, v in sorted(tally.items()))
     lines.append(f"degree {args.degree}: {len(records)} combinations ({tally_text})")
     code = 2 if tally.get("Obstructed") else 0

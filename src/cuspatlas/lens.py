@@ -2,7 +2,8 @@
 
 A filling of L(p,q) corresponds to a string m with 1 <= m_i <= n_i and
 [m_1,...,m_l] = 0, where n is the expansion of p/(p-q); the excess
-sum(n_i - m_i) is the filling's second Betti number.  Under this
+sum(n_i - m_i) is the filling's Euler characteristic, its second Betti
+number plus one (cf.excess): the ball string has excess 1.  Under this
 parameter convention the spaces L(m^2, mk-1) carry their rational
 homology ball string directly: lowering one entry of n by 1 closes the
 string exactly once, and only for them.

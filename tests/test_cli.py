@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations
@@ -241,6 +242,81 @@ def test_classify_tallies_and_exit_codes():
     }
     code, rep = run_json("classify", "--degree", "4")
     assert code == 0 and rep["results"]["tally"] == {"UniqueInPlane": 4}
+
+
+DEGREE_5_TEXT = """\
+(2,3)+(2,3)+(2,3)+(2,3)+(2,3)+(2,3) deg 5: Obstructed
+(2,3)+(2,3)+(2,3)+(2,3)+(2,5) deg 5: Obstructed
+(2,3)+(2,3)+(2,3)+(2,7) deg 5: UniqueInPlane
+(2,3)+(2,3)+(2,3)+(3,4) deg 5: Obstructed
+(2,3)+(2,3)+(2,5)+(2,5) deg 5: Obstructed
+(2,3)+(2,3)+(2,9) deg 5: Obstructed
+(2,3)+(2,3)+(3,5) deg 5: Obstructed
+(2,3)+(2,5)+(2,7) deg 5: Obstructed
+(2,3)+(2,5)+(3,4) deg 5: UniqueInPlane
+(2,3)+(2,11) deg 5: UniqueInBlowup(4)
+(2,5)+(2,5)+(2,5) deg 5: UniqueInPlane
+(2,5)+(2,9) deg 5: UniqueInPlane
+(2,5)+(3,5) deg 5: UniqueInPlane
+(2,7)+(2,7) deg 5: UniqueInBlowup(4)
+(2,7)+(3,4) deg 5: UniqueInPlane
+(2,13) deg 5: UniqueInPlane
+(3,4)+(3,4) deg 5: Obstructed
+(3,7) deg 5: Obstructed
+(4,5) deg 5: UniqueInPlane
+degree 5: 19 combinations (9 Obstructed, 2 UniqueInBlowup(4), 8 UniqueInPlane)
+"""
+
+
+def test_classify_text_builds_no_record_dict(monkeypatch):
+    def refused(record):
+        raise AssertionError("text mode built a record dict")
+
+    monkeypatch.setattr(obstruct.ClassificationRecord, "to_dict", refused)
+    assert run("classify", "--degree", "5") == (2, DEGREE_5_TEXT, "")
+
+
+def test_classify_json_builds_each_record_dict_once(monkeypatch):
+    real = obstruct.ClassificationRecord.to_dict
+    built = Counter()
+
+    def counted(record):
+        built[str(record.combo)] += 1
+        return real(record)
+
+    monkeypatch.setattr(obstruct.ClassificationRecord, "to_dict", counted)
+    code, rep = run_json("classify", "--degree", "5")
+    assert code == 2
+    combos = [r["combo"] for r in rep["results"]["records"]]
+    assert len(combos) == rep["results"]["count"] == 19
+    assert built == Counter(combos) and set(built.values()) == {1}
+
+
+def test_classify_checks_each_residual_form_in_both_modes(monkeypatch):
+    # the complements are computed, and so checked, whether or not the
+    # records are written out
+    def broken(emb):
+        raise ValueError("no residual form")
+
+    monkeypatch.setattr(obstruct, "complement_form", broken)
+    for argv in (("classify", "--degree", "4"), ("classify", "--degree", "4", "--json")):
+        code, out, err = run(*argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("atlas: internal error: cap ") and "no residual form" in err
+
+
+def test_classify_json_holds_one_record_at_a_time():
+    # the degree-7 report is 0.8 MB of text; holding every record's dict
+    # and every piece of the text at once peaked at 4.8 MB
+    run("classify", "--degree", "7", "--json")
+    tracemalloc.start()
+    try:
+        code = run("classify", "--degree", "7", "--json")[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak <= 2.5e6, peak
 
 
 def test_classify_rejects_small_degrees_before_enumerating():

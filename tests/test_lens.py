@@ -51,6 +51,15 @@ def test_bounds_convention():
     assert bounds(LensSpace(7, 6)) == (7,)
 
 
+def test_the_excess_is_the_euler_characteristic_of_the_filling():
+    # L(4,1) bounds the -4 disk bundle (b2 = 1) and a rational ball
+    # (b2 = 0); each string's excess is its filling's b2 + 1
+    L = LensSpace(4, 1)
+    assert filling_strings(L) == [((1, 2, 1), 2), ((2, 1, 2), 1)]
+    assert rational_ball_string(L) == (2, 1, 2)
+    assert [excess(bounds(L), m) for m, _ in filling_strings(L)] == [2, 1]
+
+
 def test_filling_strings_small():
     assert dict(filling_strings(LensSpace(4, 1))) == {(1, 2, 1): 2, (2, 1, 2): 1}
     assert filling_strings(LensSpace(7, 6)) == []

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -54,6 +55,63 @@ def test_the_error_names_the_type():
         _json_text({"results": {3}})
     with pytest.raises(RuntimeError, match="int"):
         _json_text({"results": {4: "x"}})
+
+
+class Lazy(list):
+    """A list that `built` turns into a map object: a lazy list."""
+
+
+def built(tree, lazy: bool):
+    """tree with each Lazy made a map object if lazy, else a plain list."""
+    if type(tree) is Lazy:
+        items = map(partial(built, lazy=lazy), tree)
+        return items if lazy else list(items)
+    if type(tree) in (list, tuple):
+        return type(tree)(built(x, lazy) for x in tree)
+    if type(tree) is dict:
+        return {k: built(v, lazy) for k, v in tree.items()}
+    return tree
+
+
+LAZY_TREES = st.recursive(
+    LEAVES | st.lists(INTS).map(Lazy),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(Lazy)
+    | st.dictionaries(TEXT, kids, max_size=4),
+    max_leaves=40,
+)
+
+
+@given(LAZY_TREES)
+@settings(max_examples=400, deadline=None)
+@example(Lazy())
+@example(Lazy([Lazy(), Lazy([1, 2]), [Lazy([{}])]]))
+@example({"count": 2, "records": Lazy([{"a": [1]}, {"b": Lazy()}]), "tail": Lazy([None])})
+@example([Lazy([3, True]), (Lazy(),), {"": Lazy(["x"])}])
+def test_lazy_lists_are_written_as_their_lists(tree):
+    assert _json_text(built(tree, lazy=True)) == json.dumps(built(tree, lazy=False), indent=2)
+
+
+def test_a_non_json_value_in_a_lazy_item_names_its_type():
+    with pytest.raises(RuntimeError, match="float"):
+        _json_text({"records": map(dict, [{"a": 1}, {"x": [0.5]}])})
+    with pytest.raises(RuntimeError, match="set"):
+        _json_text(map(list, [[1], [{2}]]))
+
+
+def test_a_lazy_list_is_drawn_once():
+    drawn = []
+
+    def item(i):
+        drawn.append(i)
+        return {"i": i}
+
+    records = map(item, range(3))
+    assert _json_text({"records": records}) == json.dumps(
+        {"records": [{"i": 0}, {"i": 1}, {"i": 2}]}, indent=2
+    )
+    assert drawn == [0, 1, 2]
+    assert next(records, None) is None
 
 
 def run(*argv):
