@@ -250,9 +250,9 @@ def blow_down_trace(emb: Embedding) -> ConfigFingerprint:
         return below
 
     corner_pairs: set[tuple[int, int]] = set()
-    req = g.intersection_matrix()
+    edge_order = {(u, v): order for u, v, order in g.edges}
     for x, y, z in g.corners:
-        orders = {(x, y): req[x][y], (x, z): req[x][z], (y, z): req[y][z]}
+        orders = {pair: edge_order[pair] for pair in ((x, y), (x, z), (y, z))}
         deep = [(pair, r) for pair, r in orders.items() if r > 1]
         if len(deep) > 1:
             raise ValueError("a corner admits at most one tangent pair")

@@ -9,34 +9,34 @@ leaves only finitely many coefficient multisets (profiles); the search
 assigns classes vertex by vertex in breadth-first order from the root
 (which is always sent to h) and breaks the permutation symmetry of
 exceptional indices by orbit prefixes.  It generates only classes with
-the required pairings against the classes already placed.  The
-search records its assignment as each index's column, the (position,
-coefficient) pairs the placed classes put on it, pushed as it places a
-class and popped as it backs off.  Each node also holds the orbits of
-its columns, the indices of equal column, each a run of consecutive
-indices read as its sparse row: a child builds its own from its
+the required pairings against the classes already placed, read off the
+graph's edges (a vertex's h-degree is its edge order to the root).
+The search's one record of its assignment is the orbit partition of
+the node it stands at: the runs of consecutive indices of equal column
+(the (position, coefficient) pairs the placed classes put on an
+index), each read as its sparse row.  A child builds its own from its
 parent's, cutting only the orbits its class takes a prefix of and
-appending the fresh ones, and drops them when the search backs off,
-so no node regroups the columns or undoes a cut.  A candidate's
-pairings are rechecked from the columns of its own indices.  A class is built
-one placement at a time (some units of one coefficient into a prefix
-of one orbit), and a branch is cut when a pairing still owed lies
-outside the range the coefficients left to place can add (each adds
-between the extremes of the rows it may take).  The last unit is
-looked up and the last two are joined on the orbits of one owed class,
-as they must pay what is owed exactly.  The orbit prefixes generate
-each assignment once, and a repeat is an internal error.  Complete
-assignments that no positive area form supports are dropped: for the
-degree-zero classes that is exactly a cycle in their dominance graph,
-so no linear program runs.  The order is each embedding's contraction
-walk, peeled once and kept: a leaf stays iff it has one, and the
-blow-down walks it.  A leaf relabels its indices canonically from the
-columns, and the results are sorted, so repeated runs agree bit for
-bit.  Each result checks itself from its own classes, not from the
-search's columns: adjunction per vertex, and a Gram matrix read index
-by index against the graph's pairings.  The Gram check is also what refuses a +1 on one index in
-two classes: only degree-zero classes carry a +1, two that share it
-pair to at most -1, and a cap's graph asks 0 or more.
+appending the fresh ones, so no node regroups the columns or undoes a
+cut, and a candidate's pairings are rechecked from the orbits its
+class takes there.  A class is built one placement at a time (some
+units of one coefficient into a prefix of one orbit), and a branch is
+cut when a pairing still owed lies outside the range the coefficients
+left to place can add (each adds between the extremes of the rows it
+may take).  The last unit is looked up and the last two are joined on
+the orbits of one owed class, as they must pay what is owed exactly.
+The orbit prefixes generate each assignment once, and a repeat is an
+internal error.  Complete assignments that no positive area form
+supports are dropped: for the degree-zero classes that is exactly a
+cycle in their dominance graph, so no linear program runs.  The order
+is each embedding's contraction walk, peeled once and kept: a leaf
+stays iff it has one, and the blow-down walks it.  A leaf relabels its
+indices canonically from the rows, and the results are sorted, so
+repeated runs agree bit for bit.  Each result checks itself from its
+own classes, not from the search's partition: adjunction per vertex,
+and a Gram matrix read index by index, less the graph's eulers and
+edge orders, must vanish.  The Gram check is also what refuses a +1 on
+one index in two classes: only degree-zero classes carry a +1, two
+that share it pair to at most -1, and a cap's graph asks 0 or more.
 """
 
 from __future__ import annotations
@@ -218,14 +218,18 @@ class Embedding:
         used = {i for c in self.classes for i, _ in c.coeffs}
         if used != set(range(self.n_used)):
             raise ValueError("exceptional indices must be 0..n_used-1")
-        req = g.intersection_matrix()
+        # less the eulers and the edge orders, the Gram matrix must vanish
         gram = _gram_matrix(self.classes)
+        for u, e in enumerate(g.eulers):
+            gram[u][u] -= e
+        for u, v, order in g.edges:
+            gram[u][v] -= order
         for u, cu in enumerate(self.classes):
             # K = -3h + e_0 + ... + e_{n-1} pairs with a sphere to -2 - s
             if -3 * cu.a0 - sum(c for _, c in cu.coeffs) != -2 - g.eulers[u]:
                 raise ValueError(f"vertex {u} violates adjunction")
-            if gram[u][u:] != [*req[u][u:]]:
-                v = next(v for v in range(u, g.n) if gram[u][v] != req[u][v])
+            if any(gram[u][u:]):
+                v = next(v for v in range(u, g.n) if gram[u][v])
                 raise ValueError(f"classes at {u},{v} miss the graph pairing")
 
     @property
@@ -643,83 +647,91 @@ class _Search:
             raise ValueError("the root must be a +1 sphere")
         self.g = g
         self.order = _bfs_order(g)
-        req = g.intersection_matrix()
-        # per position: a0, the h-degree (the pairing with the root, 1 at
-        # the root itself), the targets, the e-part of the pairing with
-        # each earlier position (a0 * ua0 minus what the graph wants), and
-        # the owed dict of its nonzero targets; all are fixed per graph
-        self.a0s = [req[v][g.root] for v in self.order]
-        self.targets = [
-            [ua0 * a0 - req[u][v] for u, ua0 in zip(self.order, self.a0s[:pos])]
-            for pos, (v, a0) in enumerate(zip(self.order, self.a0s))
-        ]
-        self.owed = [{u: r for u, r in enumerate(t) if r} for t in self.targets]
+        at = {v: pos for pos, v in enumerate(self.order)}
+        # a vertex's h-degree a0 is its pairing with the root: its edge
+        # order to the root, 1 at the root itself
+        self.degrees = [0] * g.n
+        self.degrees[g.root] = 1
+        # per position: the edge order to each earlier position it meets
+        met: list[dict[int, int]] = [{} for _ in self.order]
+        for u, v, order in g.edges:
+            if g.root in (u, v):
+                self.degrees[u + v - g.root] = order
+            pu, pv = sorted((at[u], at[v]))
+            met[pv][pu] = order
+        a0s = [self.degrees[v] for v in self.order]
+        # per position, the nonzero e-parts of its pairings with earlier
+        # positions (a0 * ua0 less the edge order), in position order;
+        # a0 * ua0 is nonzero only among the root and its neighbours
+        with_h = [pos for pos, a0 in enumerate(a0s) if a0]
+        self.owed = []
+        for pos, a0 in enumerate(a0s):
+            edges = met[pos]
+            earlier = edges.keys() | (with_h[: bisect_left(with_h, pos)] if a0 else ())
+            e_part = ((u, a0s[u] * a0 - edges.get(u, 0)) for u in sorted(earlier))
+            self.owed.append({u: r for u, r in e_part if r})
         # each position's profiles, as (value, count) groups with their
         # unit suffix counts, built once per distinct (a0, square)
         shapes: dict[tuple[int, int], list] = {}
-        for v, a0 in zip(self.order, self.a0s):
+        for v, a0 in zip(self.order, a0s):
             if (a0, g.eulers[v]) not in shapes:
                 runs = [
                     [(val, len([*run])) for val, run in groupby(p)]
                     for p in adjunction_profiles(a0, g.eulers[v])
                 ]
                 shapes[a0, g.eulers[v]] = [(gs, _suffix_units(gs)) for gs in runs]
-        self.profiles = [shapes[a0, g.eulers[v]] for v, a0 in zip(self.order, self.a0s)]
-        # the search's record of its assignment: cols[i] holds the
-        # (position, coefficient) pairs the placed classes put on e_i, one
-        # column per index in use (the root's h puts none); orbits groups
-        # the indices by equal column, the root's h touching none
-        self.cols: list[list[tuple[int, int]]] = []
+        self.profiles = [shapes[a0, g.eulers[v]] for v, a0 in zip(self.order, a0s)]
+        # the search's one record of its assignment: the orbit partition
+        # of the node it stands at, whose rows are the columns of the
+        # indices in use (the root's h touches none)
         self.orbits = _Orbits([], [], [[]], {})
 
-    def candidates(self, pos: int) -> Iterator[tuple[list[tuple[int, int]], int]]:
-        v, a0, targets = self.order[pos], self.a0s[pos], self.targets[pos]
-        cols = self.cols
-        n_used = len(cols)
+    def candidates(self, pos: int) -> Iterator[_Orbits]:
+        # each candidate's child partition, once the new class's pieces
+        # pay what it owes every earlier class: a piece (o, c) puts c on
+        # the ends[o] - o members of orbit o, whose row before the class
+        # is rows[o] less its last entry, the class's own
+        v, owed, parent = self.order[pos], self.owed[pos], self.orbits
         for groups, units in self.profiles[pos]:
-            for items, new_used in _distributions(groups, units, self.orbits, self.owed[pos]):
-                # the e-part of the pairing with every earlier class, read
-                # off the columns of the candidate's own indices (fresh
-                # ones carry nothing), must be targets exactly
-                got = [0] * pos
-                for i, c in items:
-                    for u, x in cols[i] if i < n_used else ():
-                        got[u] += c * x
-                if got != targets:
-                    u = next(u for u in range(pos) if got[u] != targets[u])
-                    ua0 = self.a0s[u] * a0
+            for items, new_used in _distributions(groups, units, parent, owed):
+                child = parent.placed(items, new_used)
+                ends, rows = child.ends, child.rows
+                got: dict[int, int] = {}
+                for o, c in child.by_class[pos]:
+                    for u, x in rows[o][:-1]:
+                        got[u] = got.get(u, 0) + (ends[o] - o) * c * x
+                if {u: r for u, r in got.items() if r} != owed:
+                    pairs = got.keys() | owed
+                    u = min(u for u in pairs if got.get(u, 0) != owed.get(u, 0))
+                    w = self.order[u]
+                    ua0 = self.degrees[w] * self.degrees[v]
                     raise RuntimeError(
-                        f"distribution for vertex {v} pairs to {ua0 - got[u]} with "
-                        f"vertex {self.order[u]}, not {ua0 - targets[u]}"
+                        f"distribution for vertex {v} pairs to {ua0 - got.get(u, 0)} "
+                        f"with vertex {w}, not {ua0 - owed.get(u, 0)}"
                     )
-                yield items, new_used
+                yield child
 
     def dfs(self, pos: int, leaves: list[Embedding]) -> None:
-        cols = self.cols
-        n_used = len(cols)
+        part = self.orbits
         if pos == self.g.n:
-            # the leaf reads its classes off the columns, made dense and
-            # indexed by vertex; a vertex's a0 is its pairing with the root
-            order, dense = self.order, [[0] * pos for _ in cols]
-            for col, out in zip(cols, dense):
-                for p, c in col:
-                    out[order[p]] = c
-            a0s = self.g.intersection_matrix()[self.g.root]
-            leaves.append(Embedding(self.g, _canonical_classes(a0s, dense), n_used))
+            # the leaf reads its classes off the rows: one dense
+            # vertex-indexed column per orbit, shared by its members
+            cols: list[list[int]] = []
+            for s, end in enumerate(part.ends):
+                if end:
+                    col = [0] * pos
+                    for p, c in part.rows[s]:
+                        col[self.order[p]] = c
+                    cols += repeat(col, end - s)
+            classes = _canonical_classes(self.degrees, cols)
+            leaves.append(Embedding(self.g, classes, len(part.ends)))
             return
         # materialised so that no open generator holds its bound tables
         # while the search descends
-        parent = self.orbits
-        for items, new_used in list(self.candidates(pos)):
-            cols.extend([] for _ in range(new_used - n_used))
-            for i, c in items:
-                cols[i].append((pos, c))
-            self.orbits = parent.placed(items, new_used)
+        for child in list(self.candidates(pos)):
+            self.orbits = child
             self.dfs(pos + 1, leaves)
-            for i, _ in items:
-                cols[i].pop()
-            del cols[n_used:]
-        self.orbits = parent
+        self.orbits = part
 
 
 def enumerate_embeddings(g: PlumbingGraph) -> tuple[Embedding, ...]:

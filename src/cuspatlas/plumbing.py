@@ -26,7 +26,6 @@ blow-ups to spare need a hand table of modes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 from .cusp import CuspCombo, CuspType, family_combo, family_of
@@ -83,19 +82,6 @@ class PlumbingGraph:
     @property
     def n(self) -> int:
         return len(self.eulers)
-
-    def intersection_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """The pairing of every two vertices, built once per graph."""
-        return self._pairings
-
-    @cached_property
-    def _pairings(self) -> tuple[tuple[int, ...], ...]:
-        m = [[0] * self.n for _ in range(self.n)]
-        for i, e in enumerate(self.eulers):
-            m[i][i] = e
-        for u, v, order in self.edges:
-            m[u][v] = m[v][u] = order
-        return tuple(map(tuple, m))
 
     def to_dot(self) -> str:
         lines = ["graph plumbing {"]

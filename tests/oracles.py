@@ -4,9 +4,10 @@ Each one recomputes a fact the library reaches another way: the
 continuant by its recurrence, the Riemenschneider dual through it,
 the normal crossing star of a single cusp, definiteness by leading
 minors, the bounded zero strings by a plain depth-first walk of the
-whole product space, the semigroup gate's gap tables as lists, the
-embedding search's orbits regrouped from its columns, with a check of
-the partition the search carries against them at every node, and the
+whole product space, the semigroup gate's gap tables as lists, every
+pairing of a graph as one dense matrix, the embedding search's orbits
+regrouped from columns recorded beside it, with a check of the
+partition the search carries against them at every node, and the
 blow-down found step by step: at each step it rescans every class still
 in play for a sphere reduced to a bare e_k, and failing one contracts
 the lowest index that no such class still holds up.
@@ -16,7 +17,7 @@ from functools import reduce
 
 from cuspatlas.blowdown import ConfigFingerprint, PointNode, _prune
 from cuspatlas.cf import cf_expand
-from cuspatlas.lattice import Embedding
+from cuspatlas.lattice import Embedding, _Orbits
 from cuspatlas.linalg import int_det
 from cuspatlas.plumbing import PlumbingGraph, _apply_mode, _resolve_cusp, _Surface
 
@@ -141,6 +142,17 @@ def counting_function(head, rises, n):
     return n - h
 
 
+def pairings(g):
+    """The pairing of every two vertices of the graph as a dense matrix:
+    the eulers on the diagonal, the edge orders off it, 0 elsewhere."""
+    m = [[0] * g.n for _ in range(g.n)]
+    for i, e in enumerate(g.eulers):
+        m[i][i] = e
+    for u, v, order in g.edges:
+        m[u][v] = m[v][u] = order
+    return m
+
+
 def orbits(cols):
     """The indices with equal columns, and their rows, from scratch.
 
@@ -177,14 +189,30 @@ def checked_dfs(dfs):
     AssertionError: the partition the node holds is the one regrouped
     from its columns, with distinct nonempty rows, and the branches
     below it leave that partition as they found it, down to each
-    class's list, and hand it back."""
+    class's list, and hand it back.
+
+    The columns are the oracle's own record: while a search runs,
+    _Orbits.placed also hangs on each child partition its columns, the
+    parent's with the placed items appended (the partition the search
+    starts from has none), and the real placed is restored afterwards.
+    """
+    real = _Orbits.placed
+
+    def recorded(part, items, new_used):
+        child = real(part, items, new_used)
+        cols = [*getattr(part, "oracle_cols", ())]
+        cols += [()] * (new_used - len(cols))
+        for i, c in items:
+            cols[i] += ((len(part.by_class), c),)
+        child.oracle_cols = cols
+        return child
 
     def fields(part):
         return [*part.ends], [*part.rows], [[*c] for c in part.by_class], {**part.at}
 
     def checked(search, pos, leaves):
         part = search.orbits
-        members, rows = orbits(search.cols)
+        members, rows = orbits(getattr(part, "oracle_cols", ()))
         ends, _, by_class, at = partition(members, rows, pos)
         starts = [part.rows[m[0]] for m in members]
         if () in rows or (part.ends, starts, part.by_class, part.at) != (
@@ -192,7 +220,13 @@ def checked_dfs(dfs):
         ):
             raise AssertionError(f"position {pos} holds orbits its columns do not give")
         before = fields(part)
-        dfs(search, pos, leaves)
+        outer = _Orbits.placed is real
+        _Orbits.placed = recorded
+        try:
+            dfs(search, pos, leaves)
+        finally:
+            if outer:
+                _Orbits.placed = real
         if search.orbits is not part or fields(part) != before:
             raise AssertionError(f"the branches below position {pos} changed it")
 
@@ -227,7 +261,7 @@ def blow_down_trace(emb: Embedding) -> ConfigFingerprint:
         return below
 
     corner_pairs: set[tuple[int, int]] = set()
-    req = g.intersection_matrix()
+    req = pairings(g)
     for x, y, z in g.corners:
         orders = {(x, y): req[x][y], (x, z): req[x][z], (y, z): req[y][z]}
         deep = [(pair, r) for pair, r in orders.items() if r > 1]

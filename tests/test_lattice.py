@@ -2,13 +2,14 @@
 
 import random
 import sys
+import tracemalloc
 
 import pytest
 from area_lp import area_feasible
 from caps import plus_one_caps
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import checked_dfs, negative_definite, orbits, partition
+from oracles import checked_dfs, negative_definite, orbits, pairings, partition
 
 from cuspatlas import cli, lattice
 from cuspatlas.blowdown import blow_down_trace, catalog_lookup
@@ -405,7 +406,7 @@ def test_a_unit_on_an_index_a_distant_class_carries_is_an_internal_error(monkeyp
     # the candidate still pays its neighbour, but one more unit lands on
     # an index that only classes it must not meet carry
     g = cap("A_p", p=4)
-    order, req = lattice._bfs_order(g), g.intersection_matrix()
+    order, req = lattice._bfs_order(g), pairings(g)
     real = lattice._distributions
     strays = []
 
@@ -429,14 +430,28 @@ def test_a_unit_on_an_index_a_distant_class_carries_is_an_internal_error(monkeyp
     assert f"for vertex {v} pairs to 1 with vertex {w}, not 0" in str(err.value)
 
 
-def test_the_search_leaves_its_columns_empty():
-    # every class placed on a branch is taken off its columns again, and
-    # the indices it opened are closed
+def test_the_search_hands_back_its_initial_partition():
+    # each branch swaps in its child's partition and the node takes its
+    # own back, so a finished search stands where it started
     search = lattice._Search(cap("E6"))
-    leaves = []
+    initial, leaves = search.orbits, []
     search.dfs(1, leaves)
     assert len(leaves) >= 6
-    assert search.cols == []
+    assert search.orbits is initial == lattice._Orbits([], [], [[]], {})
+
+
+def test_the_search_set_up_holds_no_dense_table():
+    # the owed pairings come from the edges, so a chain of about 4,000
+    # vertices sets up in linear space; a dense table of its pairings
+    # would take 245 MB
+    g = cap("A_p", 2000)
+    tracemalloc.start()
+    try:
+        lattice._Search(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_a_class_off_an_orbit_prefix_is_an_internal_error():
@@ -858,7 +873,7 @@ def test_span_and_complement_determinants_pair_to_a_square():
     for kind, p in STOCK:
         g = cap(kind, p)
         for e in enumerate_embeddings(g):
-            prod = abs(int_det(g.intersection_matrix()) * complement_form(e).det)
+            prod = abs(int_det(pairings(g)) * complement_form(e).det)
             assert prod == _isqrt_exact(prod) ** 2
 
 
@@ -871,7 +886,7 @@ def _isqrt_exact(n):
 def test_neutral_chain_vertices_carry_difference_classes():
     for kind, p in STOCK:
         g = cap(kind, p)
-        to_root = g.intersection_matrix()[g.root]
+        to_root = pairings(g)[g.root]
         for e in enumerate_embeddings(g):
             for v in range(g.n):
                 if g.eulers[v] == -2 and to_root[v] == 0:
@@ -937,7 +952,7 @@ def test_vertex_order_does_not_change_embeddings_or_verdicts():
 def _automorphisms(g):
     """The vertex permutations other than the identity that fix the root
     and keep every weight, edge order and corner, as lists v -> image."""
-    m, corners = g.intersection_matrix(), set(g.corners)
+    m, corners = pairings(g), set(g.corners)
     rest = [v for v in range(g.n) if v != g.root]
     img = {g.root: g.root}
     out = []

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import continuant, nc_resolution
+from oracles import continuant, nc_resolution, pairings
 
 from cuspatlas import cli
 from cuspatlas.cf import cf_expand
@@ -198,7 +198,7 @@ def test_chain_determinant_is_continuant(pq):
     p, q = pq
     seq = cf_expand(q, p)
     g = chain_graph([-a for a in seq])
-    assert int_det(g.intersection_matrix()) == (-1) ** len(seq) * continuant(seq)
+    assert int_det(pairings(g)) == (-1) ** len(seq) * continuant(seq)
     assert continuant(seq) == q
 
 
@@ -295,7 +295,7 @@ def assert_reported_det_is_int_det(report):
         tuple(map(tuple, graph["corners"])),
         graph["root"],
     )
-    assert graph["det"] == int_det(g.intersection_matrix())
+    assert graph["det"] == int_det(pairings(g))
 
 
 def test_reported_determinant_is_the_lattice_identity():
