@@ -17,7 +17,6 @@ __all__ = [
     "classify_degree",
     "complement_form",
     "curve_resolution",
-    "enumerate_combos",
     "enumerate_embeddings",
     "family_cap",
     "run_pipeline",
@@ -29,7 +28,6 @@ __all__ = [
 _OWNERS = {
     "CuspCombo": "cusp",
     "CuspType": "cusp",
-    "enumerate_combos": "cusp",
     "unicuspidal_families": "cusp",
     "Embedding": "lattice",
     "complement_form": "lattice",

@@ -381,9 +381,9 @@ def cmd_classify(args) -> tuple[dict, list[str], Optional[str], int]:
     for r in records:
         tally[r.final_status] = tally.get(r.final_status, 0) + 1
         if r.cap is not None:
-            # the residual forms check themselves as they are computed:
+            # the complement forms check themselves as they are computed:
             # force them here, so that text mode runs every check too
-            r.cap.ambients, r.cap.complements
+            r.cap.complements
             tags.extend(entry.provenance for entry in r.cap.entries)
     inputs = {"degree": args.degree}
     results = {

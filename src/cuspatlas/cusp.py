@@ -347,14 +347,6 @@ def gated_combos(degree: int) -> list[tuple[CuspCombo, Gate]]:
     return results
 
 
-def enumerate_combos(degree: int) -> list[CuspCombo]:
-    """Every genus-balanced multiset of cusps at the given degree,
-    deterministic order (sorted by the cusp tuple): the combos of
-    gated_combos, whose walk of prefix tables also runs the semigroup
-    gate."""
-    return [combo for combo, _ in gated_combos(degree)]
-
-
 # The named unicuspidal families: kind -> member p as (cusp, degree).
 # A_p and B_p take p >= 2, E3 and E6 no parameter.
 _FAMILIES = {

@@ -22,21 +22,21 @@ class takes there.  A class is built one placement at a time (some
 units of one coefficient into a prefix of one orbit), and a branch is
 cut when a pairing still owed lies outside the range the coefficients
 left to place can add (each adds between the extremes of the rows it
-may take).  The last unit is looked up and the last two are joined on
-the orbits of one owed class, as they must pay what is owed exactly.
-The orbit prefixes generate each assignment once, and a repeat is an
-internal error.  Complete assignments that no positive area form
-supports are dropped: for the degree-zero classes that is exactly a
-cycle in their dominance graph, so no linear program runs.  The order
-is each embedding's contraction walk, peeled once and kept: a leaf
-stays iff it has one, and the blow-down walks it.  A leaf relabels its
-indices canonically from the rows, and the results are sorted, so
-repeated runs agree bit for bit.  Each result checks itself from its
-own classes, not from the search's partition: adjunction per vertex,
-and a Gram matrix read index by index, less the graph's eulers and
-edge orders, must vanish.  The Gram check is also what refuses a +1 on
-one index in two classes: only degree-zero classes carry a +1, two
-that share it pair to at most -1, and a cap's graph asks 0 or more.
+may take).  The last two units are joined on the orbits of one owed
+class, as they must pay what is owed exactly.  The orbit prefixes
+generate each assignment once, and a repeat is an internal error.
+Complete assignments that no positive area form supports are dropped:
+for the degree-zero classes that is exactly a cycle in their dominance
+graph, so no linear program runs.  The order is each embedding's
+contraction walk, peeled once and kept: a leaf stays iff it has one,
+and the blow-down walks it.  A leaf relabels its indices canonically
+from the rows, and the results are sorted, so repeated runs agree bit
+for bit.  Each result checks itself from its own classes, not from the
+search's partition: adjunction per vertex, and a Gram matrix read index
+by index, less the graph's eulers and edge orders, must vanish.  The
+Gram check is also what refuses a +1 on one index in two classes: only
+degree-zero classes carry a +1, two that share it pair to at most -1,
+and a cap's graph asks 0 or more.
 """
 
 from __future__ import annotations
@@ -397,30 +397,24 @@ def _distributions(
     depend on the rows and groups only, so they are built once, when
     the class first owes something.  The range only narrows as o grows,
     so the loop stops at the first orbit that fails.
-    The last one or two units are placed without a scan.  Nothing
-    follows them, so they must pay the need exactly, and a unit of val
-    in orbit o pays val * rows[o]; a fresh index pays nothing.
-    - One unit goes to the orbit whose row is need / val if it lies
-      from oi on and has a free member, nowhere if val does not divide
-      the need, and onto a fresh index only when nothing is owed.
-    - Two units, v1 then v2 (two of the last value, or one of each of
-      the last two values), are a join: v1 * rows[o1] + v2 * rows[o2]
-      = need.  With something owed, one owed class suffices: only its
-      own orbits carry it (fresh indices and the other orbits carry 0),
-      so every pair that pays it has a unit there.  The class with the
-      fewest orbits is taken, each of its orbits is tried as o1 and as
-      o2, and the partner is looked up by its exact row, as for one
-      unit; when nothing is left for the partner it may also go fresh.
-      The o2 direction skips partners that also carry the class, since
-      the o1 direction finds those.  With nothing owed, every orbit from
-      oi on and the fresh indices are tried as o1, in one direction.
-      Both units keep the scan's order: o1 >= oi, and o2 >= o1 within
-      one value, where o1 = o2 needs two free members; a unit of the
-      last value may take any orbit, o1's own included, where it takes
-      the member after o1's.  Each fresh unit moves the fresh watermark
-      by one.
-    Those are the leaves the scan would reach.  Every other leaf must
-    hit every target.
+    The last two units, v1 then v2 (two of the last value, or one of
+    each of the last two values), are joined, not scanned.  Nothing
+    follows them, so v1 * rows[o1] + v2 * rows[o2] must be the need
+    exactly (a fresh index pays nothing).  With something owed, one
+    owed class suffices: only its own orbits carry it, so every pair
+    that pays it has a unit there.  The class with the fewest orbits is
+    taken, each of its orbits is tried as o1 and as o2, and the partner
+    is looked up by its exact row, the rest of the need over its value;
+    when nothing is left for the partner it may also go fresh.  The o2
+    direction skips partners that also carry the class, since the o1
+    direction finds those.  With nothing owed, every orbit from oi on
+    and the fresh indices are tried as o1, in one direction.  Both
+    units keep the scan's order: o1 >= oi, and o2 >= o1 within one
+    value, where o1 = o2 needs two free members; a unit of the last
+    value may take any orbit, o1's own included, where it takes the
+    member after o1's.  Each fresh unit moves the fresh watermark by
+    one.  Those are the leaves the scan would reach.  Every other leaf,
+    a lone last unit included, is scanned and must hit every target.
     """
     ends, rows, by_class, at = orbits.ends, orbits.rows, orbits.by_class, orbits.at
     # orbits are named by their first members; no names the fresh indices
@@ -533,14 +527,6 @@ def _distributions(
         rest = left + units[gi + 1]
         if rest == 2:
             yield from join(gi, oi, fresh_at)
-            return
-        if rest == 1:
-            # the last unit: the exact close of the docstring
-            o = paying(need, val)
-            if o is not None and o >= oi:
-                i = member(o, 0, fresh_at)
-                if i is not None:
-                    yield [*acc, (i, val)], fresh_at + (o == no)
             return
         live = [(r, (tables.get(u) or table(u))[gi]) for u, r in need.items()]
         n = left * val

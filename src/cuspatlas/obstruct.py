@@ -6,8 +6,8 @@ gate is still pushed through the others, so the record shows every
 obstruction that bites.  When a stock cap exists the pipeline also runs
 it through `run_cap`, the one function that builds a cap, enumerates its
 adjunctive embeddings, blows each one down, consults the
-plane-configuration catalog and reads the cap's verdicts; the pipeline
-then aggregates a final status.
+plane-configuration catalog, names each embedding's ambient and reads
+the cap's verdicts; the pipeline then aggregates a final status.
 """
 
 from __future__ import annotations
@@ -137,22 +137,17 @@ def image_dict(f: ConfigFingerprint, entry: CatalogEntry) -> dict:
 
 @dataclass(frozen=True)
 class CapRun:
-    """One cap through every stage: its graph, its adjunctive embeddings,
-    the blow-down image and catalog entry of each, and the cap's
-    verdicts.  Each embedding's ambient and complement form are read
-    on first use, under cap_faults, and kept with the run."""
+    """One cap through every stage: its adjunctive embeddings, the
+    ambient, blow-down image and catalog entry of each, and the cap's
+    verdicts.  Each embedding's complement form is read on first use,
+    under cap_faults, and kept with the run: blowdown never reads it."""
 
     recipe: CapRecipe
-    graph: PlumbingGraph
     embeddings: Sequence[Embedding]
+    ambients: List[str]
     fingerprints: List[ConfigFingerprint]
     entries: List[CatalogEntry]
     verdicts: List[ObstructionVerdict]
-
-    @cached_property
-    def ambients(self) -> List[str]:
-        with cap_faults(self.recipe):
-            return [ambient(e) for e in self.embeddings]
 
     @cached_property
     def complements(self) -> List[GramForm]:
@@ -266,15 +261,16 @@ def cap_faults(recipe: CapRecipe) -> Iterator[None]:
 
 def run_cap(recipe: CapRecipe) -> CapRun:
     """Build the cap, enumerate its embeddings, blow each one down, look
-    each image up in the catalog and read the cap's verdicts; a stage's
-    ValueError is raised again under cap_faults."""
+    each image up in the catalog, name each ambient and read the cap's
+    verdicts; a stage's ValueError is raised again under cap_faults."""
     with cap_faults(recipe):
         graph = build_cap(recipe)
         embeddings = enumerate_embeddings(graph)
         fingerprints = [blow_down_trace(e) for e in embeddings]
         entries = [catalog_lookup(f) for f in fingerprints]
+        ambients = [ambient(e) for e in embeddings]
     verdicts = cap_verdicts(recipe, graph, entries)
-    return CapRun(recipe, graph, embeddings, fingerprints, entries, verdicts)
+    return CapRun(recipe, embeddings, ambients, fingerprints, entries, verdicts)
 
 
 def run_pipeline(combo: CuspCombo, gate: Gate) -> ClassificationRecord:

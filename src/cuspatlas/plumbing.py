@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cusp import CuspCombo, CuspType, family_combo, family_of
+from .cusp import CuspCombo, CuspType, family_combo, family_of, mult_seq_length
 
 Edge = tuple[int, int, int]
 Corner = tuple[int, int, int]
@@ -220,26 +220,47 @@ def _advance(surf: _Surface, root: int, meet: _Meet) -> _Meet:
     raise RuntimeError("root lost its distinguished point")
 
 
+def _extra_blowups(mode: str) -> Optional[int]:
+    # the blow-ups after the minimal resolution: 0 under "min", t under
+    # "min+t", None under "nc" (the order of the tangency left, <= p)
+    if mode in ("min", "nc"):
+        return 0 if mode == "min" else None
+    if not mode.startswith("min+"):
+        raise ValueError(f"unknown resolution mode {mode!r}")
+    digits = mode[4:]
+    try:
+        # int() also refuses more digits than it converts
+        extra = int(digits) if digits.isascii() and digits.isdigit() else 0
+    except ValueError:
+        extra = 0
+    if extra < 1:
+        raise ValueError(f"bad resolution mode {mode!r}")
+    return extra
+
+
 def _apply_mode(surf: _Surface, root: int, c_meet: _Meet, mode: str) -> None:
-    if mode == "nc":
+    extra = _extra_blowups(mode)
+    if extra is None:
         while c_meet.order > 1 or c_meet.third is not None:
             c_meet = _advance(surf, root, c_meet)
         return
-    if mode == "min":
-        extra = 0
-    elif mode.startswith("min+"):
-        digits = mode[4:]
-        try:
-            # int() also refuses more digits than it converts
-            extra = int(digits) if digits.isascii() and digits.isdigit() else 0
-        except ValueError:
-            extra = 0
-        if extra < 1:
-            raise ValueError(f"bad resolution mode {mode!r}")
-    else:
-        raise ValueError(f"unknown resolution mode {mode!r}")
     for _ in range(extra):
         c_meet = _advance(surf, root, c_meet)
+
+
+def _blowups(combo: CuspCombo, modes: Sequence[str]) -> int:
+    """The most blow-ups that resolving the combination under these modes
+    makes, read off the cusp data alone: each multiplicity sequence, then
+    t per "min+t" and at most p per "nc".  Past 2^16 it raises ValueError
+    (the A30000 cap's 60,001 take well under a second)."""
+    pairs = zip(combo.cusps, map(_extra_blowups, modes))
+    n = sum(mult_seq_length(c.p, c.q) + (c.p if t is None else t) for c, t in pairs)
+    if n > 1 << 16:
+        raise ValueError(
+            f"modes {list(modes)} resolve {combo} in up to {n} blow-ups, "
+            f"more than the bound {1 << 16}"
+        )
+    return n
 
 
 def curve_resolution(combo: CuspCombo, modes: Sequence[str]) -> PlumbingGraph:
@@ -248,10 +269,12 @@ def curve_resolution(combo: CuspCombo, modes: Sequence[str]) -> PlumbingGraph:
     Modes, one per cusp in combo order: "min" stops as soon as the branch
     is smooth, "min+t" blows up the surviving tangency t more times, "nc"
     continues to a normal crossing star.  The root keeps its honest
-    self-intersection degree^2 - sum of squared multiplicities.
+    self-intersection degree^2 - sum of squared multiplicities.  Past
+    2^16 blow-ups (_blowups) it raises ValueError before the first.
     """
     if len(modes) != len(combo.cusps):
         raise ValueError("one resolution mode per cusp")
+    _blowups(combo, modes)
     surf = _Surface()
     root = surf.add_curve(combo.degree**2, "C")
     for cusp, mode in zip(combo.cusps, modes):
@@ -304,9 +327,12 @@ def _stock_modes(combo: CuspCombo) -> Optional[tuple[str, ...]]:
 
 def family_cap(kind: str, p: Optional[int] = None) -> CapRecipe:
     """The cap of a named family, A_p or B_p (p >= 2), E3 or E6: the
-    family's one cusp on its curve (cusp.family_combo), resolved to +1."""
+    family's one cusp on its curve (cusp.family_combo), resolved to +1;
+    ValueError past 2^16 blow-ups, before anything is built."""
     combo = family_combo(kind, p)
-    return CapRecipe(kind, combo, _stock_modes(combo), p)
+    modes = _stock_modes(combo)
+    _blowups(combo, modes)
+    return CapRecipe(kind, combo, modes, p)
 
 
 def named_cap(c: CuspType, degree: int) -> Optional[CapRecipe]:

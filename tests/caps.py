@@ -2,7 +2,7 @@
 
 from itertools import combinations_with_replacement, groupby, product
 
-from cuspatlas.cusp import enumerate_combos
+from cuspatlas.cusp import gated_combos
 from cuspatlas.plumbing import curve_resolution
 
 
@@ -16,7 +16,7 @@ def plus_one_caps(d):
     among them only relabels the graph.
     """
     found = {}
-    for combo in enumerate_combos(d):
+    for combo, _ in gated_combos(d):
         spare = d * d - sum(m * m for c in combo.cusps for m in c.mult_seq()) - 1
         if spare < 0:
             continue

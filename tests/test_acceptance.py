@@ -12,7 +12,7 @@ from oracles import cf_dual, continuant
 
 from cuspatlas.blowdown import blow_down_trace, catalog_lookup
 from cuspatlas.cf import cf_expand, fib
-from cuspatlas.cusp import CuspCombo, CuspType, enumerate_combos, ms_recognize
+from cuspatlas.cusp import CuspCombo, CuspType, gated_combos, ms_recognize
 from cuspatlas.lattice import (
     HClass,
     ambient_form,
@@ -182,7 +182,7 @@ def test_c7_property_suites():
     caps += [cap_graph("E3"), cap_graph("E6")]
     for degree in (3, 4, 5):
         caps += [
-            build_cap(cap_for_combo(combo)) for combo in enumerate_combos(degree)
+            build_cap(cap_for_combo(combo)) for combo, _ in gated_combos(degree)
         ]
     for g in caps:
         for f in map(blow_down_trace, enumerate_embeddings(g)):

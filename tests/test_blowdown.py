@@ -25,7 +25,7 @@ from cuspatlas.blowdown import (
     blow_down_trace,
     catalog_lookup,
 )
-from cuspatlas.cusp import CuspCombo, CuspType, enumerate_combos
+from cuspatlas.cusp import CuspCombo, CuspType, gated_combos
 from cuspatlas.lattice import Embedding, HClass, enumerate_embeddings
 from cuspatlas.obstruct import run_cap
 from cuspatlas.plumbing import PlumbingGraph, build_cap, cap_for_combo, family_cap
@@ -296,7 +296,7 @@ CORPUS = {
 
 def corpus_traces():
     for degree in (3, 4, 5):
-        for combo in enumerate_combos(degree):
+        for combo, _ in gated_combos(degree):
             sig = tuple((c.p, c.q) for c in combo.cusps)
             embs = enumerate_embeddings(build_cap(cap_for_combo(combo)))
             yield degree, sig, embs, [blow_down_trace(e) for e in embs]
@@ -388,7 +388,7 @@ def test_index_labels_do_not_change_summaries_or_verdicts():
         [family_cap("A_p", p) for p in range(2, 11)]
         + [family_cap("B_p", p) for p in range(2, 7)]
         + [family_cap("E3"), family_cap("E6")]
-        + [cap_for_combo(c) for d in (3, 4, 5) for c in enumerate_combos(d)]
+        + [cap_for_combo(c) for d in (3, 4, 5) for c, _ in gated_combos(d)]
     )
     rng = random.Random(5)
     seen = 0

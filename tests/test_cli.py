@@ -17,7 +17,7 @@ import pytest
 
 from cuspatlas import cli, cusp, lattice, obstruct
 from cuspatlas.cli import main
-from cuspatlas.cusp import enumerate_combos, semigroup_condition
+from cuspatlas.cusp import gated_combos, semigroup_condition
 from cuspatlas.lattice import HClass, enumerate_embeddings
 from cuspatlas.obstruct import run_pipeline
 from cuspatlas.plumbing import build_cap, cap_for_combo, family_cap
@@ -131,6 +131,31 @@ def test_resolve_reads_spare_modes_as_decimal():
     assert code == 0 and padded["results"] == one["results"]
 
 
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (("cap", "B", "99999999999999999999"), 2 * 10**20),
+        (("embed", "B", "99999999999999999999"), 2 * 10**20),
+        (("unicuspidal", "--family", "B99999999999999999999"), 2 * 10**20),
+        (("blowdown", "A", "99999999999"), 2 * 10**11 - 1),
+        (("resolve", "2,3", "--modes", "min+999999999"), 10**9),
+    ],
+)
+def test_oversized_resolutions_end_at_once(argv, count):
+    # the blow-ups are counted from the cusp data and the modes, and a
+    # count past 2^16 is a usage error, before the cap stages run
+    code, out, err = run(*argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("atlas: error: modes ['min+")
+    assert err.endswith(f"in up to {count} blow-ups, more than the bound 65536\n")
+
+
+def test_the_largest_ci_builds_stay_within_the_blowup_bound():
+    for argv in (("cap", "A", "3000"), ("resolve", "3000,3001", "--modes", "min+6000")):
+        code, out, err = run(*argv)
+        assert (code, err) == (0, "") and "6002 curves" in out
+
+
 def test_resolve_rejects_impossible_genus():
     code, _, err = run("resolve", "2,5")
     assert code == 1 and "genus" in err
@@ -211,7 +236,7 @@ def test_blowdown_exit_status_is_the_pipeline_verdict():
     # atlas blowdown and run_pipeline read one verdict on a cap's fate
     codes = Counter()
     for degree in (3, 4, 5):
-        for combo in enumerate_combos(degree):
+        for combo, _ in gated_combos(degree):
             if cap_for_combo(combo) is None:
                 continue
             spec = "+".join(f"{c.p},{c.q}" for c in combo.cusps)

@@ -15,7 +15,6 @@ from cuspatlas.cusp import (
     _lanes,
     _shifts,
     cusp_types_with_delta,
-    enumerate_combos,
     family_combo,
     family_of,
     fibonacci_index,
@@ -355,7 +354,7 @@ def test_packed_fold_and_reader_are_exact_at_every_field_width(combo):
 
 
 def test_gate_and_witness_match_the_oracle_through_degree_7():
-    combos = [c for d in range(4, 8) for c in enumerate_combos(d)]
+    combos = [c for d in range(4, 8) for c, _ in gated_combos(d)]
     want = [semigroup_witness_oracle(c) for c in combos]
     for combo, w in zip(combos, want):
         gate = semigroup_condition(combo)
@@ -402,7 +401,7 @@ def test_semigroup_condition_frozen():
 def test_semigroup_condition_exact_failures_degree5():
     failing = {
         tuple(c.cusps)
-        for c in enumerate_combos(5)
+        for c, _ in gated_combos(5)
         if semigroup_condition(c) is not None
     }
     assert failing == {
@@ -414,7 +413,7 @@ def test_semigroup_condition_exact_failures_degree5():
 def test_riemann_hurwitz_exact_failures_degree5():
     failing = {
         tuple(c.cusps)
-        for c in enumerate_combos(5)
+        for c, _ in gated_combos(5)
         if riemann_hurwitz_verdict(c).failed
     }
     assert failing == {
@@ -427,21 +426,21 @@ def test_riemann_hurwitz_exact_failures_degree5():
 
 def test_riemann_hurwitz_passes_low_degrees():
     for d in (3, 4):
-        for combo in enumerate_combos(d):
+        for combo, _ in gated_combos(d):
             assert not riemann_hurwitz_verdict(combo).failed
 
 
 def test_enumerate_combos_counts():
-    assert len(enumerate_combos(3)) == 1
-    assert len(enumerate_combos(4)) == 4
-    assert len(enumerate_combos(5)) == 19
+    assert len(gated_combos(3)) == 1
+    assert len(gated_combos(4)) == 4
+    assert len(gated_combos(5)) == 19
     for degree in (2, 0, -9):
         with pytest.raises(ValueError, match="degree >= 3"):
-            enumerate_combos(degree)
+            gated_combos(degree)
 
 
 def test_enumerate_combos_contents_degree4():
-    combos = [c.cusps for c in enumerate_combos(4)]
+    combos = [c.cusps for c, _ in gated_combos(4)]
     assert (CuspType(3, 4),) in combos
     assert (CuspType(2, 7),) in combos
     assert (CuspType(2, 3), CuspType(2, 5)) in combos
@@ -449,7 +448,7 @@ def test_enumerate_combos_contents_degree4():
 
 
 def test_enumerate_combos_deterministic():
-    assert enumerate_combos(5) == enumerate_combos(5)
+    assert [c for c, _ in gated_combos(5)] == [c for c, _ in gated_combos(5)]
 
 
 def enumerate_combos_oracle(degree):
@@ -478,7 +477,7 @@ def enumerate_combos_oracle(degree):
 
 def test_enumerate_combos_match_the_oracle_through_degree_8():
     for degree in range(3, 9):
-        got, want = enumerate_combos(degree), enumerate_combos_oracle(degree)
+        got, want = [c for c, _ in gated_combos(degree)], enumerate_combos_oracle(degree)
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a == b and a.cusps == b.cusps
@@ -556,7 +555,7 @@ def test_family_members_frozen():
 def test_family_of_misses_off_family_curves():
     named = {(c.cusps[0], c.degree) for c in (family_combo(k, p) for k, p in NAMED)}
     for degree in range(3, 9):
-        for combo in enumerate_combos(degree):
+        for combo, _ in gated_combos(degree):
             if len(combo.cusps) == 1 and (combo.cusps[0], degree) not in named:
                 assert family_of(combo.cusps[0], degree) is None
     assert family_of(CuspType(3, 22), 9) is None

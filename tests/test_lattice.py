@@ -16,7 +16,6 @@ from cuspatlas.blowdown import blow_down_trace, catalog_lookup
 from cuspatlas.cusp import (
     CuspCombo,
     CuspType,
-    enumerate_combos,
     gated_combos,
     semigroup_condition,
 )
@@ -375,7 +374,7 @@ def _combo_caps(degrees):
     return [
         build_cap(cap_for_combo(combo))
         for d in degrees
-        for combo in enumerate_combos(d)
+        for combo, _ in gated_combos(d)
     ]
 
 
@@ -585,8 +584,8 @@ def _numbered(sizes):
 @st.composite
 def distribution_instances(draw):
     # the caps only reach coefficients +-1; values and columns up to 2 in
-    # size put the range cut, the early orbit exit and the exact close and
-    # join of the last units to the test
+    # size put the range cut, the early orbit exit, the scan of a lone
+    # last unit and the exact join of the last two units to the test
     values = draw(st.lists(st.sampled_from((2, 1, -1, -2)), unique=True, max_size=4))
     groups = [(v, draw(st.integers(1, 3))) for v in sorted(values, reverse=True)]
     nu = draw(st.integers(0, 4))
@@ -665,6 +664,15 @@ def test_distributions_match_the_filtered_placements(instance):
         ([(-1, 2)], [1, 1], [(1,), (-1,)], [0], 2),
         # an owed class that no orbit carries
         ([(1, 1), (-1, 1)], [1], [(1, 0)], [0, 1], 0),
+        # a lone last unit, scanned: into the orbit whose row is need / val
+        ([(-2, 1)], [1, 1], [(1, 0), (1, 1)], [-2, -2], 1),
+        # a value that does not divide the need
+        ([(-2, 1)], [1], [(1,)], [-3], 0),
+        # nothing owed: it goes fresh
+        ([(-1, 1)], [1], [(1,)], [0], 1),
+        # after two units in orbit 1, the orbit that pays the rest lies
+        # below oi, and the placement was already found from orbit 0
+        ([(-1, 3)], [1, 2], [(1,), (2,)], [-5], 1),
     ],
 )
 def test_the_last_two_units_join_as_the_unpruned_placements(
@@ -816,7 +824,7 @@ QUINTIC_EXPECTED = {
 
 def test_quintic_cap_embedding_census():
     ran = {}
-    for combo in enumerate_combos(5):
+    for combo, _ in gated_combos(5):
         if semigroup_condition(combo) is not None:
             continue
         if riemann_hurwitz_verdict(combo).failed:

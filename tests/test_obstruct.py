@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cuspatlas.blowdown import OBSTRUCTED, UNIQUE, UNKNOWN
-from cuspatlas.cusp import CuspCombo, CuspType, enumerate_combos, semigroup_condition
+from cuspatlas.cusp import CuspCombo, CuspType, gated_combos, semigroup_condition
 from cuspatlas.obstruct import (
     _final_status,
     classify_degree,
@@ -107,13 +107,13 @@ def test_rh_instances_match_the_per_cusp_sums(degree, seqs):
 
 def test_rh_instances_match_the_per_cusp_sums_through_degree_7():
     for d in range(3, 8):
-        for c in enumerate_combos(d):
+        for c, _ in gated_combos(d):
             seqs = [x.mult_seq() for x in c.cusps]
             assert rh_instances(d, seqs) == rh_instances_oracle(d, seqs), c
 
 
 def test_sextic_rule_gates_exactly_the_simple_combos():
-    combos = enumerate_combos(6)
+    combos = [c for c, _ in gated_combos(6)]
     assert len(combos) == 102
     fails = 0
     for c in combos:
@@ -274,6 +274,7 @@ def test_two_unique_images_at_the_least_k_leave_the_status_unknown():
     blowups = replace(
         cap,
         embeddings=[cap.embeddings[i] for i in kept],
+        ambients=[cap.ambients[i] for i in kept],
         fingerprints=[cap.fingerprints[i] for i in kept],
         entries=[cap.entries[i] for i in kept],
     )
@@ -306,4 +307,4 @@ def test_a_repeated_census_gives_the_same_records():
     # first, and both with combos gated one at a time
     first = [r.to_dict() for r in classify_degree(6)]
     assert [r.to_dict() for r in classify_degree(6)] == first
-    assert [pipeline(c).to_dict() for c in enumerate_combos(6)] == first
+    assert [pipeline(c).to_dict() for c, _ in gated_combos(6)] == first

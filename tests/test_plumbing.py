@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import continuant, nc_resolution, pairings
 
-from cuspatlas import cli
+from cuspatlas import cli, plumbing
 from cuspatlas.cf import cf_expand
-from cuspatlas.cusp import CuspCombo, CuspType, enumerate_combos
+from cuspatlas.cusp import CuspCombo, CuspType, gated_combos
 from cuspatlas.linalg import int_det
 from cuspatlas.plumbing import (
     CapRecipe,
@@ -167,7 +167,7 @@ def test_quintic_cap_34_2_2_2_frozen():
 
 def test_all_low_degree_caps_close_at_plus_one():
     for d in (3, 4, 5):
-        for combo in enumerate_combos(d):
+        for combo, _ in gated_combos(d):
             recipe = cap_for_combo(combo)
             assert recipe is not None
             g = build_cap(recipe)
@@ -270,7 +270,7 @@ def test_every_cap_is_its_own_curve_resolution():
         [family_cap("A_p", p) for p in range(2, 31)]
         + [family_cap("B_p", p) for p in range(2, 11)]
         + [family_cap("E3"), family_cap("E6")]
-        + [cap_for_combo(c) for d in range(3, 8) for c in enumerate_combos(d)]
+        + [cap_for_combo(c) for d in range(3, 8) for c, _ in gated_combos(d)]
     )
     recipes = [r for r in recipes if r is not None]
     assert len(recipes) == 67
@@ -307,7 +307,7 @@ def test_reported_determinant_is_the_lattice_identity():
         + [
             [spec_of(c)]
             for d in range(3, 8)
-            for c in enumerate_combos(d)
+            for c, _ in gated_combos(d)
             if cap_for_combo(c) is not None
         ]
     )
@@ -315,7 +315,7 @@ def test_reported_determinant_is_the_lattice_identity():
     for spec in specs:
         assert_reported_det_is_int_det(cli.cmd_cap(Namespace(spec=spec))[0])
     modes = ("min", "nc", "min+1", "min+2", "min+3")
-    combos = [c for d in range(3, 7) for c in enumerate_combos(d) if len(c.cusps) <= 3]
+    combos = [c for d in range(3, 7) for c, _ in gated_combos(d) if len(c.cusps) <= 3]
     runs = 0
     for combo in combos:
         d, k = combo.degree, len(combo.cusps)
@@ -336,6 +336,38 @@ def test_single_cusp_caps_spend_every_spare_blowup_at_the_end():
     assert family_cap("E6").modes == ("min+3",)
     assert cap_for_combo(quintic((2, 13))).modes == ("min",)
     assert cap_for_combo(quintic((2, 5), (2, 5), (2, 5))).modes == ("min",) * 3
+
+
+def test_the_blowup_count_bounds_each_resolution():
+    # exact under "min" and "min+t"; under "nc" the count takes the
+    # cusp's p for the order of the tangency left, which is at most p
+    runs = 0
+    for d in range(3, 7):
+        for combo, _ in gated_combos(d):
+            k = len(combo.cusps)
+            if k > 2:
+                continue
+            for modes in product(("min", "nc", "min+2"), repeat=k):
+                g = curve_resolution(combo, modes)
+                n = plumbing._blowups(combo, modes)
+                assert n == g.n - 1 if "nc" not in modes else n >= g.n - 1
+                runs += 1
+    assert runs == 225
+
+
+def test_a_resolution_past_2_16_blowups_is_refused_unbuilt(monkeypatch):
+    def unbuilt():
+        raise AssertionError("a surface was built")
+
+    monkeypatch.setattr(plumbing, "_Surface", unbuilt)
+    cusp = CuspCombo(3, (CuspType(2, 3),))
+    assert plumbing._blowups(cusp, ["min+65535"]) == 2**16
+    with pytest.raises(ValueError, match="up to 65537 blow-ups, more than the bound 65536"):
+        curve_resolution(cusp, ["min+65536"])
+    # A_p takes 2p + 1: p = 32767 is the longest chain that passes
+    assert family_cap("A_p", 32767).modes == ("min+65534",)
+    with pytest.raises(ValueError, match="up to 65537 blow-ups"):
+        family_cap("A_p", 32768)
 
 
 def test_graph_validation():

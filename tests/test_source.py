@@ -107,16 +107,16 @@ def _names_by_function(tree):
 
 
 def test_one_function_runs_the_cap_stages():
-    # obstruct.run_cap chains search, blow-down and catalog for every
-    # command, so no command can run one stage without the others or
-    # in another order, and each residual form has one owner, a CapRun
-    # property that reads it under cap_faults.  A stage may call itself
-    # (catalog_lookup recurses after peeling a line).
+    # obstruct.run_cap chains search, blow-down, catalog and ambient for
+    # every command, so no command can run one stage without the others
+    # or in another order, and the complement form has one owner, a
+    # CapRun property that reads it under cap_faults.  A stage may call
+    # itself (catalog_lookup recurses after peeling a line).
     owners = {
         "enumerate_embeddings": "run_cap",
         "blow_down_trace": "run_cap",
         "catalog_lookup": "run_cap",
-        "ambient": "ambients",
+        "ambient": "run_cap",
         "complement_form": "complements",
     }
     found = []
